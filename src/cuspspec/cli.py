@@ -110,28 +110,20 @@ def cmd_spectrum(args):
 def cmd_trace(args):
     group, spec = _spectrum_args(args)
     fam = _cusp_family(args, group)
-    ts = _parse_floats(args.t)
+    ts = np.array(_parse_floats(args.t))
     surface = group.surface
-    m = surface.cusps
+    ident = trace_terms.identity_term(surface.area, ts)
+    hyp = trace_terms.hyperbolic_trace(spec, ts)
+    para = surface.cusps * trace_terms.cusp_term(ts)
+    cusp = np.exp(-ts / 4.0) / np.sqrt(4.0 * math.pi * ts) * fam.log_sum
     rows = ["t,identity,hyperbolic,parabolic,cusp_start,relative_trace"]
-    for t in ts:
-        ident = trace_terms.identity_term(surface.area, t)
-        hyp = trace_terms.hyperbolic_trace(spec, t)
-        damp = math.exp(-t / 4.0)
-        gauss = damp / math.sqrt(4.0 * math.pi * t)
-        para = m * (-trace_terms.parabolic_p(t) / math.pi
-                    - math.log(2.0) * gauss + damp / 2.0)
-        cusp = gauss * fam.log_sum
-        rows.append(",".join(_fmt(v) for v in
-                             (t, ident, hyp, para, cusp,
-                              ident + hyp + para + cusp)))
+    for row in zip(ts, ident, hyp, para, cusp, ident + hyp + para + cusp):
+        rows.append(",".join(_fmt(v) for v in row))
     header = "".join("# %s\n" % s for s in _provenance(
         args, ["group: %s" % args.group,
                "max_length: %s" % _fmt(args.max_length),
                "word_radius: %d" % spec.word_radius,
-               "cusp_starts: %s" % ",".join(_fmt(a) for a in fam.starts),
-               "quad_abs_tol: %s" % _fmt(1e-13),
-               "quad_rel_tol: %s" % _fmt(1e-12)]))
+               "cusp_starts: %s" % ",".join(_fmt(a) for a in fam.starts)]))
     _write(args.out, header + "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -327,14 +319,6 @@ def build_parser(config=None):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    # the thread-count override is accepted for interface compatibility;
-    # the implementation is sequential
-    threads = os.environ.get("CUSPSPEC_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        sys.stderr.write(_json_dump(
-            {"error": "PreconditionError",
-             "message": "CUSPSPEC_THREADS must be a positive integer"}) + "\n")
-        return EXIT_PRECONDITION
     config = {}
     if "--config" in argv:
         try:

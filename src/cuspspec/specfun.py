@@ -27,6 +27,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
     "integrate",
+    "kronrod_grid",
     "log_gamma",
     "digamma",
     "erfc",
@@ -109,18 +110,28 @@ def _gk15(g, a, b):
 
 
 def _wrap_integrand(f):
-    """Allow scalar-only integrands; vectorized ones pass through."""
+    """Integrands are array-valued: one call per panel on all 15 nodes."""
 
     def g(x):
-        try:
-            y = np.asarray(f(x))
-            if y.shape == x.shape:
-                return y
-        except (TypeError, ValueError):
-            pass
-        return np.array([f(xi) for xi in x])
+        y = np.asarray(f(x))
+        if y.shape != x.shape:
+            raise DomainError(
+                "integrand must return an array of the node shape %s, "
+                "got shape %s" % (x.shape, y.shape))
+        return y
 
     return g
+
+
+def kronrod_grid(edges):
+    """Nodes and weights of the composite 15-point Kronrod rule on the
+    panels between consecutive edges."""
+    edges = np.asarray(edges, dtype=float)
+    a = edges[:-1, None]
+    b = edges[1:, None]
+    half = 0.5 * (b - a)
+    return ((0.5 * (a + b) + half * _NODES).ravel(),
+            (half * _WK_FULL).ravel())
 
 
 def _transformed(f, a, b, transform):
@@ -339,18 +350,21 @@ def _faddeeva_upper(z):
 def erfcx(z):
     """Scaled complementary error function e^{z^2} erfc(z), complex z.
 
-    The reflection to Re z < 0 multiplies by e^{z^2}, which is refused
-    (typed overflow error) once it exceeds the double range.
+    Scalars in, complex scalar out; arrays in, complex arrays of the same
+    shape out.  The reflection to Re z < 0 multiplies by e^{z^2}, which
+    is refused (typed overflow error) once it exceeds the double range.
     """
-    z = complex(z)
-    if z.real >= 0:
-        # erfcx(z) = w(iz); iz has Im >= 0 here
-        return complex(_faddeeva_upper(1j * z))
-    zz = z * z
-    if zz.real > 705.0:
+    z_in = np.asarray(z, dtype=complex)
+    left = z_in.real < 0
+    zz = np.where(left, z_in * z_in, 0.0)
+    if np.any(zz.real > 705.0):
         raise OverflowRangeError(
-            "erfcx reflection overflows for z = %s" % z)
-    return 2.0 * np.exp(zz) - complex(_faddeeva_upper(-1j * z))
+            "erfcx reflection overflows for z = %s"
+            % z_in[zz.real > 705.0].flat[0])
+    # erfcx(z) = w(iz) with Im(iz) >= 0 on the right half-plane
+    w = _faddeeva_upper(np.where(left, -1j * z_in, 1j * z_in))
+    out = np.where(left, 2.0 * np.exp(zz) - w, w)
+    return complex(out) if z_in.ndim == 0 else out
 
 
 def erfc(z):

@@ -120,20 +120,7 @@ class RelativeDeterminantResult:
     det_hyp: float
 
 
-def _theta_vectorized(theta):
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        try:
-            y = np.asarray(theta(t), dtype=float)
-            if y.shape == t.shape:
-                return y
-        except (TypeError, ValueError):
-            pass
-        return np.array([theta(float(ti)) for ti in np.atleast_1d(t)])
-    return f
-
-
-def _tail_estimate(theta_v, h, t_max, min_decay, n_points=8):
+def _tail_estimate(theta, h, t_max, min_decay, n_points=8):
     """Fit C e^{-mu t} on the last decade and integrate the tail at s=0.
 
     Returns (tail_value, tail_error).  A tail already below the noise
@@ -141,7 +128,7 @@ def _tail_estimate(theta_v, h, t_max, min_decay, n_points=8):
     """
     t_lo = max(1.0, t_max / 10.0)
     ts = np.geomspace(t_lo, t_max, n_points)
-    ys = theta_v(ts) - h
+    ys = theta(ts) - h
     ay = np.abs(ys)
     if np.max(ay) < 1e-280:
         return 0.0, 0.0
@@ -171,9 +158,11 @@ def mellin_zeta_prime0(theta, expansion, t_max, quad_spec=None,
                        t_lo=0.0, min_decay=0.2):
     """zeta'(0) and determinant exp(-zeta'(0)) of a trace function.
 
-    theta: callable t -> Tr(relative heat operator), scalar or vectorized.
+    theta: array-valued callable t -> Tr(relative heat operator); it is
+    called once per 15-node quadrature panel with the panel's nodes and
+    must return an array of their shape.
     expansion: declared small-t behavior of theta plus the constant h.
-    t_max: end of the numerically trusted window (>= 1).
+    t_max: end of the numerically trusted window (finite, >= 1).
     t_lo: optional positive cut below which the expansion remainder is
     not evaluated numerically (used when theta itself is a quadrature
     whose absolute noise is amplified by cancellation as t -> 0); the
@@ -181,14 +170,13 @@ def mellin_zeta_prime0(theta, expansion, t_max, quad_spec=None,
     charged to small_t_error.
     min_decay: lower bound demanded of the fitted tail decay rate.
     """
-    if t_max < 1.0:
-        raise DomainError("t_max must be >= 1")
+    if not (math.isfinite(t_max) and t_max >= 1.0):
+        raise DomainError("t_max must be finite and >= 1")
     if not 0.0 <= t_lo < 1.0:
         raise DomainError("t_lo must lie in [0, 1)")
     if quad_spec is None:
         quad_spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10,
                                    max_subdivisions=4000)
-    theta_v = _theta_vectorized(theta)
     h = expansion.h
 
     # analytic Mellin images of the declared terms at s = 0
@@ -198,15 +186,20 @@ def mellin_zeta_prime0(theta, expansion, t_max, quad_spec=None,
             analytic += c * (-1.0) ** k * math.factorial(k) / a ** (k + 1)
 
     def remainder(t):
-        return theta_v(t) - expansion.evaluate(t)
+        return theta(t) - expansion.evaluate(t)
 
-    # remainder decay check: the subtracted theta must vanish with a
-    # positive local power as t -> 0
+    # one theta call for the probes: the remainder at probe_hi and
+    # probe_lo, the scale theta(1) and the remainder at the cut t_lo
     probe_hi = 1e-2
     probe_lo = max(1e-3, 2.0 * t_lo) if t_lo > 0 else 1e-3
-    r_hi = float(remainder(np.array([probe_hi]))[0])
-    r_lo = float(remainder(np.array([probe_lo]))[0])
-    scale = 1.0 + abs(float(theta_v(np.array([1.0]))[0]))
+    probes = np.array([probe_hi, probe_lo, 1.0, t_lo if t_lo > 0 else 1.0])
+    theta_probes = np.asarray(theta(probes), dtype=float)
+    if theta_probes.shape != probes.shape:
+        raise DomainError("theta must return an array of the shape of t")
+    r_hi, r_lo, _, r_cut = theta_probes - expansion.evaluate(probes)
+    scale = 1.0 + abs(theta_probes[2])
+    # remainder decay check: the subtracted theta must vanish with a
+    # positive local power as t -> 0
     if abs(r_lo) > 1e-9 * scale:
         p_hat = (math.log(abs(r_hi) / abs(r_lo))
                  / math.log(probe_hi / probe_lo)) if r_hi != 0 else -1.0
@@ -225,13 +218,12 @@ def mellin_zeta_prime0(theta, expansion, t_max, quad_spec=None,
     small_err = small.error
     if t_lo > 0.0:
         # charge the dropped piece int_0^{t_lo} |R|/t ~ |R(t_lo)|/p
-        r_cut = abs(float(remainder(np.array([t_lo]))[0]))
-        small_err += r_cut / 0.5
+        small_err += abs(r_cut) / 0.5
 
-    mid = integrate(lambda t: (theta_v(t) - h) / t, 1.0, t_max,
+    mid = integrate(lambda t: (theta(t) - h) / t, 1.0, t_max,
                     spec=quad_spec)
 
-    tail, tail_err = _tail_estimate(theta_v, h, t_max, min_decay)
+    tail, tail_err = _tail_estimate(theta, h, t_max, min_decay)
 
     zp = analytic + small.value.real + mid.value.real + tail
     return ZetaResult.from_zeta_prime(zp, small_err,
@@ -260,14 +252,8 @@ def _xi_expansion():
 
 @lru_cache(maxsize=1)
 def _xi_constant():
-    def theta(t):
-        t = np.asarray(t).item()
-        return (-trace_terms.parabolic_p(t) / math.pi
-                + math.exp(-t / 4.0)
-                * (0.5 - math.log(2.0) / math.sqrt(4.0 * math.pi * t)))
-
-    res = mellin_zeta_prime0(theta, _xi_expansion(), t_max=60.0,
-                             t_lo=1e-4)
+    res = mellin_zeta_prime0(trace_terms.cusp_term, _xi_expansion(),
+                             t_max=60.0, t_lo=1e-4)
     return res.zeta_prime_zero
 
 
@@ -287,24 +273,24 @@ def xi_prime0(num_cusps):
 def surface_expansion(surface, cusp_starts):
     """Declared small-t expansion of the geometric-side relative heat
     trace.  Composed from the heat coefficients of the identity term,
-    the P(t) ladder, and the explicit cusp terms; the geodesic sum is
-    exponentially small and contributes nothing.
+    the cut-height Gaussian, and m copies of the cusp-term expansion
+    :func:`_xi_expansion`; the geodesic sum is exponentially small and
+    contributes nothing.
     """
     area = surface.area
-    m = surface.cusps
     s_log = cusp_starts.log_sum
-    g2l = math.log(2.0)
-    terms = (
-        (-1.0, 0, area / (4.0 * math.pi)),
-        (-0.5, 1, -m * PARA_A_LOG / math.pi),
-        (-0.5, 0, (-m * PARA_A_CONST / math.pi
-                   + (s_log - m * g2l) / (2.0 * _SQRT_PI))),
-        (0.0, 0, -area / (12.0 * math.pi)),
-        (0.5, 1, -m * PARA_C_SQRTLOG / math.pi),
-        (0.5, 0, (-m * PARA_C_SQRT / math.pi
-                  - (s_log - m * g2l) / (8.0 * _SQRT_PI))),
-        (1.0, 0, area / (60.0 * math.pi)),
-    )
+    coeffs = {
+        # identity term: (area/4pi)(1/t - 1/3 + t/15 + ...)
+        (-1.0, 0): area / (4.0 * math.pi),
+        (0.0, 0): -area / (12.0 * math.pi),
+        (1.0, 0): area / (60.0 * math.pi),
+        # cut heights: e^{-t/4}/sqrt(4 pi t) sum_j log a_j
+        (-0.5, 0): s_log / (2.0 * _SQRT_PI),
+        (0.5, 0): -s_log / (8.0 * _SQRT_PI),
+    }
+    for a, k, c in _xi_expansion().terms:
+        coeffs[(a, k)] = coeffs.get((a, k), 0.0) + surface.cusps * c
+    terms = tuple((a, k, c) for (a, k), c in sorted(coeffs.items()))
     return ExpansionDescriptor(terms, h=float(surface.components))
 
 
@@ -334,7 +320,7 @@ def relative_determinant(surface, spectrum, cusp_starts, t_max,
 
     def theta(t):
         return trace_terms.relative_heat_trace(
-            surface, spectrum, cusp_starts, np.asarray(t).item())
+            surface, spectrum, cusp_starts, t)
 
     expansion = surface_expansion(surface, cusp_starts)
     zeta = mellin_zeta_prime0(theta, expansion, t_max,

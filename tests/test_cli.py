@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -8,13 +7,10 @@ from cuspspec import degeneration, fuchsian, zeta_engine
 from cuspspec.fuchsian import SurfaceData
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "cuspspec.cli", *argv],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
 
 
 class TestSpectrumCommand:
@@ -147,16 +143,6 @@ class TestConfigAndEnvironment:
         out = run_cli("--config", "/nonexistent/cfg.json", "selfcheck")
         assert out.returncode == 4
 
-    def test_bad_thread_count_rejected(self):
-        out = run_cli("selfcheck", env_extra={"CUSPSPEC_THREADS": "zero"})
-        assert out.returncode == 2
-
-    def test_thread_count_accepted(self):
-        out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
-                      "--max-length", "4",
-                      env_extra={"CUSPSPEC_THREADS": "2"})
-        assert out.returncode == 0
-
 
 class TestErrorChannel:
     def test_unknown_group(self):
@@ -165,6 +151,24 @@ class TestErrorChannel:
         err = json.loads(out.stderr)
         assert err["error"] == "UnknownGroupError"
         assert "nope" in err["message"]
+
+    def test_trace_nan_t_refused(self):
+        out = run_cli("trace", "--group", "thrice-punctured-sphere",
+                      "--max-length", "6", "--t", "0.5,nan")
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == "DomainError"
+
+    def test_trace_infinite_t_refused(self):
+        out = run_cli("trace", "--group", "thrice-punctured-sphere",
+                      "--max-length", "6", "--t", "inf")
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == "DomainError"
+
+    def test_det_nan_t_max_refused(self):
+        out = run_cli("det", "--group", "thrice-punctured-sphere",
+                      "--cutoff", "6", "--t-max", "nan")
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == "DomainError"
 
     def test_output_path_failure(self):
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",

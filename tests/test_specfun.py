@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from cuspspec import specfun
-from cuspspec.errors import DomainError, PoleError, QuadratureError
+from cuspspec.errors import (
+    DomainError,
+    OverflowRangeError,
+    PoleError,
+    QuadratureError,
+)
 from cuspspec.specfun import QuadratureSpec
 
 
@@ -48,6 +53,17 @@ class TestIntegrate:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
+
+    def test_scalar_valued_integrand_rejected(self):
+        # integrands are called once per panel on all 15 nodes and must
+        # return an array of the nodes' shape
+        with pytest.raises(DomainError):
+            specfun.integrate(lambda x: 1.0, 0.0, 1.0)
+
+    def test_kronrod_grid_exact_on_polynomials(self):
+        x, w = specfun.kronrod_grid((0.0, 0.5, 2.0))
+        assert x.shape == w.shape == (30,)
+        assert abs(np.sum(w * x ** 9) - 2.0 ** 10 / 10.0) < 1e-12
 
 
 class TestLogGamma:
@@ -111,6 +127,20 @@ class TestErfc:
         x = 1e4
         val = specfun.erfcx(x).real
         assert abs(val * x * math.sqrt(math.pi) - 1.0) < 1e-6
+
+    def test_erfcx_array_matches_scalar(self):
+        z = np.array([[0.1, 2.0 + 1.0j, -0.5 + 0.3j],
+                      [12.0, 1e3, -3.0 - 2.0j]])
+        out = specfun.erfcx(z)
+        assert out.shape == z.shape
+        for zi, oi in zip(z.ravel(), out.ravel()):
+            ref = specfun.erfcx(complex(zi))
+            assert isinstance(ref, complex)
+            assert abs(oi - ref) <= 1e-15 * abs(ref)
+
+    def test_erfcx_reflection_overflow_refused(self):
+        with pytest.raises(OverflowRangeError):
+            specfun.erfcx(np.array([1.0, -30.0]))
 
     def test_complex_conjugate_symmetry(self):
         z = 0.7 + 1.3j

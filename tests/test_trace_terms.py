@@ -12,6 +12,7 @@ from cuspspec.fuchsian import pinch_family
 from cuspspec.trace_terms import (
     EigenvalueList,
     ScatteringModel,
+    cusp_term,
     hyperbolic_trace,
     identity_term,
     model_from_json,
@@ -128,11 +129,33 @@ class TestIdentityTerm:
         assert abs(identity_term(4.0 * math.pi, t)
                    - 2.0 * identity_term(2.0 * math.pi, t)) < 1e-12
 
+    @pytest.mark.parametrize("t", [1e-4, 1e-2, 1.0, 8.0, 60.0])
+    def test_mpmath_oracle(self, t):
+        # 30-digit quadrature of the defining integral with tanh on the
+        # half-line, split at 0, 1/2, 1, 2, 4, ... and cut where the
+        # Gaussian factor is below e^-144 (or, for large t, at 40)
+        area = 2.0 * math.pi
+        with mp.workdps(30):
+            tm = mp.mpf(t)
+            end = max(mp.mpf(40), 12 / mp.sqrt(tm))
+            points = [mp.mpf(0)]
+            b = mp.mpf(1) / 2
+            while b < end:
+                points.append(b)
+                b *= 2
+            points.append(end)
+            ref = area / (4 * mp.pi) * 2 * mp.quad(
+                lambda lam: mp.exp(-tm * (mp.mpf(1) / 4 + lam * lam))
+                * lam * mp.tanh(mp.pi * lam), points)
+        assert abs(identity_term(area, t) - ref) <= 1e-13 * abs(ref)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             identity_term(-1.0, 1.0)
         with pytest.raises(DomainError):
             identity_term(1.0, 0.0)
+        with pytest.raises(DomainError):
+            identity_term(math.nan, 1.0)
 
 
 class TestHyperbolicTrace:
@@ -190,7 +213,7 @@ class TestParabolicP:
                 for k in (1, 3, 5)]
         assert errs[2] < errs[1] < errs[0]
 
-    @pytest.mark.parametrize("t", [1e-4, 1e-3])
+    @pytest.mark.parametrize("t", [1e-10, 1e-4, 1e-3, 1e-2, 1.0, 8.0, 60.0])
     def test_mpmath_oracle(self, t):
         # 25-digit quadrature of the defining integral on the half-line,
         # split at 0, 1, 4, 16, ... and cut at r = 12/sqrt(t), where the
@@ -209,6 +232,12 @@ class TestParabolicP:
                 * mp.re(mp.digamma(1 + 1j * r)), points)
         assert abs(parabolic_p(t) - ref) <= 1e-12 * abs(ref)
 
+    def test_ladder_and_series_meet(self):
+        # below t = 3e-7 P(t) is the small-t ladder, above it the series
+        t = 3.0001e-7
+        assert abs(parabolic_p_asymptotic(t) - parabolic_p(t)) \
+            <= 1e-14 * abs(parabolic_p(t))
+
     def test_validation(self):
         with pytest.raises(DomainError):
             parabolic_p(0.0)
@@ -216,6 +245,79 @@ class TestParabolicP:
             parabolic_p_asymptotic(2.0)
         with pytest.raises(DomainError):
             parabolic_p_asymptotic(0.5, terms=9)
+
+
+def _sphere():
+    g = builtin_group("thrice-punctured-sphere")
+    return g, enumerate_length_spectrum(g, 8.0, 8)
+
+
+def _assert_array_matches_scalars(fn, ts):
+    out = fn(ts)
+    assert isinstance(out, np.ndarray) and out.shape == ts.shape
+    for ti, oi in zip(ts.ravel(), out.ravel()):
+        ref = fn(float(ti))
+        assert isinstance(ref, float)
+        assert abs(oi - ref) <= 1e-14 * abs(ref)
+
+
+class TestArrayContract:
+    """Each trace term on a 15-point t-array equals its scalar values."""
+
+    TS = np.geomspace(1e-3, 8.0, 15)
+
+    def test_parabolic_p(self):
+        _assert_array_matches_scalars(parabolic_p, self.TS)
+
+    def test_identity_term(self):
+        _assert_array_matches_scalars(
+            lambda t: identity_term(2.0 * math.pi, t), self.TS)
+
+    def test_cusp_term(self):
+        _assert_array_matches_scalars(cusp_term, self.TS)
+
+    def test_hyperbolic_trace(self):
+        _, spec = _sphere()
+        _assert_array_matches_scalars(
+            lambda t: hyperbolic_trace(spec, t), self.TS)
+
+    def test_hyperbolic_trace_pinched(self):
+        # l = 1e-6 needs 4.4e6 k-terms at t = 0.05, 6.6e7 (t, k) pairs
+        # over the array: the (class, k) axis is processed in blocks
+        g, spec = _sphere()
+        spec = pinch_family(spec, [0], 1e-6)
+        ts = np.geomspace(0.005, 0.05, 15)
+        _assert_array_matches_scalars(
+            lambda t: hyperbolic_trace(spec, t), ts)
+
+    def test_relative_heat_trace(self):
+        g, spec = _sphere()
+        fam = CuspFamily((1.0, 2.0, 1.5))
+        _assert_array_matches_scalars(
+            lambda t: relative_heat_trace(g.surface, spec, fam, t), self.TS)
+
+    def test_shape_preserved(self):
+        ts = self.TS.reshape(3, 5)
+        assert parabolic_p(ts).shape == (3, 5)
+        assert cusp_term(ts[:1]).shape == (1, 5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_nonfinite_or_nonpositive_t_refused(self, bad):
+        g, spec = _sphere()
+        fam = CuspFamily((1.0, 1.0, 1.0))
+        ts = np.array([0.5, bad])
+        for fn in (parabolic_p, cusp_term,
+                   lambda t: identity_term(1.0, t),
+                   lambda t: hyperbolic_trace(spec, t),
+                   lambda t: relative_heat_trace(g.surface, spec, fam, t)):
+            with pytest.raises(DomainError):
+                fn(bad)
+            with pytest.raises(DomainError):
+                fn(ts)
+
+    def test_empty_t_refused(self):
+        with pytest.raises(DomainError):
+            parabolic_p(np.array([]))
 
 
 class TestRelativeHeatTrace:

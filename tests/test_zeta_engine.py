@@ -132,6 +132,30 @@ class TestMellinEngine:
             mellin_zeta_prime0(lambda t: np.exp(-t),
                                _finite_spectrum_descriptor(1), t_max=0.5)
 
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf])
+    def test_nonfinite_t_max_refused(self, t_max):
+        with pytest.raises(DomainError):
+            mellin_zeta_prime0(lambda t: np.exp(-t),
+                               _finite_spectrum_descriptor(1), t_max=t_max)
+
+    def test_theta_called_once_per_panel(self):
+        sizes = []
+
+        def theta(t):
+            sizes.append(np.size(t))
+            return np.exp(-t) + np.exp(-2.0 * t)
+
+        res = mellin_zeta_prime0(theta, _finite_spectrum_descriptor(2),
+                                 t_max=40.0)
+        assert abs(res.determinant - 2.0) < 1e-9
+        assert sizes.count(15) >= len(sizes) - 2
+        assert sum(sizes) / len(sizes) >= 10.0
+
+    def test_scalar_valued_theta_refused(self):
+        with pytest.raises(DomainError):
+            mellin_zeta_prime0(lambda t: 1.0 + 0.0 * float(np.sum(t)),
+                               _finite_spectrum_descriptor(1), t_max=40.0)
+
 
 class TestCuspConstant:
     def test_regression_value(self):
