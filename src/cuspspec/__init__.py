@@ -10,7 +10,7 @@ sweeps), cli (command-line front end).
 __version__ = "0.1.0"
 
 from .cusp_model import CuspFamily, cusp_heat_kernel, relative_cusp_trace
-from .dtn_cusp import DtnSymbol, n2_symbol, n2_zero_symbol, splitting_det
+from .dtn_cusp import n2_symbol, n2_zero_symbol, splitting_det
 from .fuchsian import (
     GroupPresentation,
     LengthSpectrum,

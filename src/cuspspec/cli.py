@@ -70,11 +70,8 @@ def _parse_floats(text):
 
 def _spectrum_args(args):
     group = fuchsian.builtin_group(args.group)
-    radius = args.word_radius
-    if radius is None:
-        radius = max(6, int(math.ceil(args.max_length)))
     return group, fuchsian.enumerate_length_spectrum(
-        group, args.max_length, radius)
+        group, args.max_length, args.word_radius)
 
 
 def _cusp_family(args, group):
@@ -101,8 +98,8 @@ def cmd_spectrum(args):
             args, ["group: %s" % args.group,
                    "max_length: %s" % _fmt(args.max_length),
                    "word_radius: %d" % spec.word_radius,
-                   "merge_tolerance: %s" % _fmt(1e-9),
-                   "node_budget: 20000000"]))
+                   "merge_tolerance: %s" % _fmt(fuchsian.MERGE_TOL),
+                   "node_budget: %d" % fuchsian.NODE_BUDGET]))
         _write(args.out, header + fuchsian.spectrum_to_csv(spec))
     return EXIT_OK
 
@@ -151,10 +148,11 @@ def cmd_scatter_check(args):
         resid = abs(a - b) / (1.0 + abs(b))
         worst = max(worst, resid)
         rows.append(",".join(_fmt(v) for v in (t, a, b, resid)))
+    quad = trace_terms.SCATTERING_SPEC
     header = "".join("# %s\n" % s for s in _provenance(
         args, ["model: %s" % os.path.basename(args.model),
-               "quad_abs_tol: %s" % _fmt(1e-12),
-               "quad_rel_tol: %s" % _fmt(1e-11)]))
+               "quad_abs_tol: %s" % _fmt(quad.abs_tol),
+               "quad_rel_tol: %s" % _fmt(quad.rel_tol)]))
     _write(args.out, header + "\n".join(rows) + "\n")
     sys.stderr.write("max residual: %s\n" % _fmt(worst))
     return EXIT_OK
@@ -170,7 +168,7 @@ def cmd_pinch_sweep(args):
         grid.sort(reverse=True)
     indices = args.pinch_index if args.pinch_index else [0]
     rows = degeneration.pinch_sweep(
-        spec, indices, grid, None, args.baseline, group.surface)
+        spec, indices, grid, args.baseline, group.surface)
     header = _provenance(args, [
         "group: %s" % args.group,
         "max_length: %s" % _fmt(args.max_length),
@@ -178,7 +176,7 @@ def cmd_pinch_sweep(args):
         "pinch_indices: %s" % ",".join(str(i) for i in indices),
         "baseline: %s" % _fmt(args.baseline),
         "small_eig_model: ell^2 per pinched geodesic (synthetic)",
-        "wolpert_tol: %s" % _fmt(1e-12),
+        "wolpert_tol: %s" % _fmt(degeneration.WOLPERT_TOL),
     ])
     _write(args.out, degeneration.rows_to_csv(rows, header))
     return EXIT_OK
@@ -254,7 +252,7 @@ def build_parser(config=None):
     p.add_argument("--config", help="JSON file with default parameter values")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **defaults):
+    def add(name, fn):
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
         return sp

@@ -70,7 +70,3 @@ def relative_cusp_trace(a, t):
         raise DomainError("relative_cusp_trace requires t > 0")
     return -math.exp(-t / 4.0) / math.sqrt(4.0 * math.pi * t) * math.log(a)
 
-
-def family_trace(family, t):
-    """Sum of relative_cusp_trace over a CuspFamily."""
-    return sum(relative_cusp_trace(a, t) for a in family.starts)

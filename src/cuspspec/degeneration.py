@@ -20,11 +20,9 @@ import numpy as np
 
 from . import zeta_engine
 from .errors import DomainError
-from .trace_terms import EigenvalueList
 
 __all__ = ["PinchSweepRow", "wolpert_sum", "wolpert_asymptotic",
-           "pinch_sweep", "rows_to_csv", "rows_from_csv", "rows_to_json",
-           "default_small_eigs"]
+           "pinch_sweep", "rows_to_csv", "rows_from_csv", "WOLPERT_TOL"]
 
 
 @dataclass(frozen=True)
@@ -44,17 +42,18 @@ class PinchSweepRow:
 
 
 _CHUNK = 1 << 16
+# absolute bound on the dropped tail of the Wolpert series
+WOLPERT_TOL = 1e-12
 
 
-def wolpert_sum(ell, s, tol=1e-12):
+def wolpert_sum(ell, s):
     """sum_{n>=1} e^{-n s ell} / (n (1 - e^{-n ell})).
 
-    Summed in chunks until the geometric tail bound drops below tol.
+    Summed in chunks until the geometric tail bound drops below
+    WOLPERT_TOL.
     """
     if ell <= 0.0 or s <= 0.0:
         raise DomainError("wolpert_sum requires ell > 0 and s > 0")
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
     total = 0.0
     start = 1
     while True:
@@ -65,7 +64,7 @@ def wolpert_sum(ell, s, tol=1e-12):
         head = -math.expm1(-s * ell)
         tail = (math.exp(-start * s * ell)
                 / (start * (-math.expm1(-start * ell)) * head))
-        if tail < tol:
+        if tail < WOLPERT_TOL:
             return total
 
 
@@ -79,24 +78,18 @@ def wolpert_asymptotic(ell, s):
             + (s - 0.5) * math.log(-math.expm1(-s * ell)))
 
 
-def default_small_eigs(num_pinched, ell):
-    """One synthetic eigenvalue ell^2 per pinched geodesic.
+def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha,
+                surface):
+    """One PinchSweepRow per value of a nonempty, decreasing ell grid.
 
-    Modeling choice only: true small eigenvalues of a degenerating
-    surface require a PDE solver.  The quadratic rate keeps the
-    +sum(log lambda) term subordinate to the Wolpert term.
-    """
-    return EigenvalueList(tuple([ell * ell] * num_pinched))
-
-
-def pinch_sweep(base, pinch_indices, ell_grid, small_eigs_per_ell,
-                baseline_logdet_hyp_alpha, surface, wolpert_tol=1e-12):
-    """One PinchSweepRow per grid value.
-
-    small_eigs_per_ell: either a mapping ell -> EigenvalueList or None,
-    in which case the documented default ell^2 model is used.
+    The small eigenvalues are synthetic: one eigenvalue ell^2 per pinched
+    geodesic.  True small eigenvalues of a degenerating surface require a
+    PDE solver; the quadratic rate keeps the +sum(log lambda) term
+    subordinate to the Wolpert term.
     """
     grid = [float(x) for x in ell_grid]
+    if not grid:
+        raise DomainError("ell grid must not be empty")
     if any(x <= 0 for x in grid):
         raise DomainError("ell grid must be positive")
     if any(b - a <= 0 for a, b in zip(grid[1:], grid[:-1])):
@@ -109,16 +102,15 @@ def pinch_sweep(base, pinch_indices, ell_grid, small_eigs_per_ell,
     mc = zeta_engine.xi_prime0(surface.cusps)
     rows = []
     for ell in grid:
-        if small_eigs_per_ell is None:
-            eigs = default_small_eigs(num_pinched, ell)
-        else:
-            eigs = small_eigs_per_ell[ell]
-        if any(v <= 0 for v in eigs.values):
+        eigs = [ell * ell] * num_pinched
+        # ell^2 underflows to 0 below ell ~ 2e-162, where neither its log
+        # nor the Wolpert series (about 1/ell terms) can be evaluated
+        if any(v <= 0 for v in eigs):
             raise DomainError("small eigenvalues must be positive")
-        wsum = num_pinched * wolpert_sum(ell, 1.0, wolpert_tol) if indices else 0.0
+        wsum = num_pinched * wolpert_sum(ell, 1.0) if indices else 0.0
         wasym = (num_pinched * wolpert_asymptotic(ell, 1.0)
                  if indices and ell <= 0.5 else 0.0)
-        logsum = float(sum(math.log(v) for v in eigs.values))
+        logsum = float(sum(math.log(v) for v in eigs))
         est = baseline_logdet_hyp_alpha - mc - wsum + logsum
         rows.append(PinchSweepRow(ell, wsum, wasym, logsum, est,
                                   baseline_logdet_hyp_alpha))
@@ -143,12 +135,3 @@ def rows_from_csv(text):
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     rows = list(csv.reader(io.StringIO("\n".join(lines))))
     return [PinchSweepRow(*(float(x) for x in r)) for r in rows[1:] if r]
-
-
-def rows_to_json(rows):
-    return [
-        {f: getattr(r, f) for f in (
-            "ell", "wolpert_sum", "wolpert_asymptotic",
-            "small_eig_logsum", "log_det_estimate", "baseline")}
-        for r in rows
-    ]

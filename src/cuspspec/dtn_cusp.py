@@ -13,21 +13,7 @@ from dataclasses import dataclass
 from . import specfun
 from .errors import DomainError, SingularityError
 
-__all__ = ["DtnSymbol", "SplitInputs", "n2_symbol", "n2_zero_symbol",
-           "splitting_det"]
-
-
-@dataclass(frozen=True)
-class DtnSymbol:
-    """One Fourier-mode multiplier of the cusp DtN at cut height beta."""
-
-    beta: float
-    mode: int
-    value: complex
-
-    def __post_init__(self):
-        if self.beta < 1.0:
-            raise DomainError("DtnSymbol requires beta >= 1")
+__all__ = ["SplitInputs", "n2_symbol", "n2_zero_symbol", "splitting_det"]
 
 
 @dataclass(frozen=True)
@@ -99,16 +85,11 @@ def n2_symbol(s, n, beta):
         return -s.real + x * ratio
     if abs(s.imag) > 10.0:
         raise DomainError("n2_symbol limited to |Im s| <= 10")
-    kp = specfun.bessel_k_complex_order(s + 0.5, x, scaled=True)
-    km = specfun.bessel_k_complex_order(s - 0.5, x, scaled=True)
+    kp = specfun.bessel_k_complex_order(s + 0.5, x)
+    km = specfun.bessel_k_complex_order(s - 0.5, x)
     if abs(km) < 1e-280:
         raise SingularityError("K_{s-1/2} vanished at s=%s, x=%g" % (s, x))
     return -s + x * kp / km
-
-
-def n2_symbol_record(s, n, beta):
-    """n2_symbol packaged with its bookkeeping fields."""
-    return DtnSymbol(beta=beta, mode=n, value=n2_symbol(s, n, beta))
 
 
 def splitting_det(inputs):

@@ -13,7 +13,6 @@ output records the word radius so callers can reason about truncation.
 
 import csv
 import io
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -30,10 +29,13 @@ __all__ = [
     "SurfaceData", "geodesic_length", "builtin_group",
     "enumerate_length_spectrum", "pinch_family",
     "spectrum_to_json", "spectrum_from_json",
-    "spectrum_to_csv", "spectrum_from_csv",
+    "spectrum_to_csv", "spectrum_from_csv", "MERGE_TOL", "NODE_BUDGET",
 ]
 
-_MERGE_TOL = 1e-9
+# enumerated lengths closer than this merge into one entry
+MERGE_TOL = 1e-9
+# tree nodes the word enumeration may visit before it gives up
+NODE_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class LengthSpectrum:
             if not e.pinched:
                 # merge tolerance applies to enumerated entries only;
                 # pinched entries may tie with anything
-                if e.length - prev_plain <= _MERGE_TOL:
+                if e.length - prev_plain <= MERGE_TOL:
                     raise DomainError(
                         "duplicate entries within merge tolerance")
                 prev_plain = e.length
@@ -170,9 +172,9 @@ def builtin_group(name):
             tau = float(m.group(1))
         except ValueError:
             raise UnknownGroupError("bad trace parameter in %r" % name)
-        if tau <= 2.0 * math.sqrt(2.0):
-            raise DomainError(
-                "once-punctured torus needs generator trace > 2*sqrt(2)")
+        if not (math.isfinite(tau) and tau > 2.0 * math.sqrt(2.0)):
+            raise DomainError("once-punctured torus needs a finite "
+                              "generator trace > 2*sqrt(2)")
         # trace triple (tau, tau, z) on the Markov-type surface
         # x^2 + y^2 + z^2 = xyz; smaller root keeps z in (2, 4]
         z = (tau * tau - tau * math.sqrt(tau * tau - 8.0)) / 2.0
@@ -226,22 +228,25 @@ def _lyndon_traces(num_letters, n, visit, budget):
     gen(1, 1)
 
 
-def enumerate_length_spectrum(group, max_length, max_word_length,
-                              max_nodes=20_000_000):
+def enumerate_length_spectrum(group, max_length, max_word_length=None):
     """All primitive hyperbolic classes of length <= max_length whose
     cyclically reduced words fit in the explored radius.
 
-    Classes of g and g^-1 are counted separately.  Equal lengths within
-    1e-9 merge into one entry with aggregated multiplicity.
+    max_length must be finite and positive; the word radius defaults to
+    max(6, ceil(max_length)).  Classes of g and g^-1 are counted
+    separately.  Equal lengths within MERGE_TOL merge into one entry
+    with aggregated multiplicity.
     """
-    if max_length <= 0:
-        raise DomainError("max_length must be positive")
+    if not (math.isfinite(max_length) and max_length > 0):
+        raise DomainError("max_length must be finite and positive")
+    if max_word_length is None:
+        max_word_length = max(6, int(math.ceil(max_length)))
     if max_word_length < 1:
         raise DomainError("max_word_length must be >= 1")
     letters = _letters(group)
     mats = [(g.a, g.b, g.c, g.d) for g in letters]
     lengths = []
-    budget = [max_nodes]
+    budget = [NODE_BUDGET]
 
     def visit(word):
         a, b, c, d = mats[word[0]]
@@ -264,7 +269,7 @@ def enumerate_length_spectrum(group, max_length, max_word_length,
     i = 0
     while i < len(lengths):
         j = i
-        while j + 1 < len(lengths) and lengths[j + 1] - lengths[i] <= _MERGE_TOL:
+        while j + 1 < len(lengths) and lengths[j + 1] - lengths[i] <= MERGE_TOL:
             j += 1
         entries.append(SpectrumEntry(lengths[i], j - i + 1))
         i = j + 1
@@ -295,10 +300,6 @@ def pinch_family(base, pinch_indices, ell):
 # serialization
 # ----------------------------------------------------------------------
 
-def _fmt(x):
-    return float(format(x, ".17g"))
-
-
 def spectrum_to_json(spec):
     obj = {
         "surface": {
@@ -306,9 +307,9 @@ def spectrum_to_json(spec):
             "cusps": spec.surface.cusps,
             "components": spec.surface.components,
         },
-        "cutoff": _fmt(spec.cutoff),
+        "cutoff": spec.cutoff,
         "entries": [
-            {"length": _fmt(e.length), "mult": e.mult, "pinched": e.pinched}
+            {"length": e.length, "mult": e.mult, "pinched": e.pinched}
             for e in spec.entries
         ],
     }

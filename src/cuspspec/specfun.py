@@ -1,10 +1,10 @@
 """Special functions and adaptive quadrature used throughout the package.
 
-Everything here is self-contained on top of numpy: complex log-gamma and
-digamma (Stirling plus recurrence), complex complementary error function
-(Faddeeva rational approximation), modified Bessel K of real and complex
-order, and a deterministic adaptive Gauss-Kronrod integrator with
-substitutions for infinite ranges.
+Everything here is self-contained on top of numpy: complex digamma
+(Stirling plus recurrence), the scaled complementary error function
+erfcx (Faddeeva rational approximation), modified Bessel K of real and
+complex order, and a deterministic adaptive Gauss-Kronrod integrator
+with a double-exponential substitution for infinite ranges.
 
 All routines raise typed errors from :mod:`cuspspec.errors` instead of
 returning NaN.
@@ -28,16 +28,13 @@ __all__ = [
     "QuadratureResult",
     "integrate",
     "kronrod_grid",
-    "log_gamma",
     "digamma",
-    "erfc",
     "erfcx",
     "bessel_k",
     "bessel_k_complex_order",
     "BESSEL_K_CROSSOVER",
 ]
 
-_LOG_SQRT_2PI = 0.9189385332046727  # log sqrt(2 pi)
 _EULER_GAMMA = 0.5772156649015329
 
 # ----------------------------------------------------------------------
@@ -134,53 +131,41 @@ def kronrod_grid(edges):
             (half * _WK_FULL).ravel())
 
 
-def _transformed(f, a, b, transform):
-    """Map f on (a, b) to an integrand on a finite interval in u."""
+def _transformed(f, a, b):
+    """Map f on (a, b) to an integrand on a finite interval in u.
+
+    Infinite ranges go through a double-exponential substitution
+    truncated at |u| = 4.
+    """
     a_inf = math.isinf(a)
     b_inf = math.isinf(b)
     if not a_inf and not b_inf:
         return f, a, b
-    if transform not in ("auto", "tan", "de"):
-        raise DomainError("transform must be one of 'auto', 'tan', 'de'")
-    use_de = transform == "de"
 
     if a_inf and b_inf:
-        if use_de:
-            # x = sinh(2 sinh u); truncation at |u|=4 reaches |x| ~ 2.6e23
-            def g(u):
-                sh = 2.0 * np.sinh(u)
-                return f(np.sinh(sh)) * 2.0 * np.cosh(u) * np.cosh(sh)
-            return g, -4.0, 4.0
-
+        # x = sinh(2 sinh u); truncation at |u|=4 reaches |x| ~ 2.6e23
         def g(u):
-            x = np.tan(u)
-            return f(x) * (1.0 + x * x)
-        return g, -0.5 * math.pi, 0.5 * math.pi
+            sh = 2.0 * np.sinh(u)
+            return f(np.sinh(sh)) * 2.0 * np.cosh(u) * np.cosh(sh)
+        return g, -4.0, 4.0
 
     if a_inf:
         # reflect (-inf, b) to (-b, inf)
-        gr, lo, hi = _transformed(lambda x: f(-x), -b, math.inf, transform)
-        return gr, lo, hi
+        return _transformed(lambda x: f(-x), -b, math.inf)
 
-    if use_de:
-        # x = a + exp(2 sinh u); |u|<=4 spans x-a in [2e-24, 5e23]
-        def g(u):
-            w = np.exp(2.0 * np.sinh(u))
-            return f(a + w) * 2.0 * np.cosh(u) * w
-        return g, -4.0, 4.0
-
+    # x = a + exp(2 sinh u); |u|<=4 spans x-a in [2e-24, 5e23]
     def g(u):
-        x = np.tan(u)
-        return f(a + x) * (1.0 + x * x)
-    return g, 0.0, 0.5 * math.pi
+        w = np.exp(2.0 * np.sinh(u))
+        return f(a + w) * 2.0 * np.cosh(u) * w
+    return g, -4.0, 4.0
 
 
-def integrate(f, a, b, spec=None, transform="auto"):
+def integrate(f, a, b, spec=None):
     """Adaptive Gauss-Kronrod integral of f over (a, b).
 
-    Endpoints may be +-inf; infinite ranges go through a tangent or
-    double-exponential substitution chosen per call via ``transform``.
-    Returns a :class:`QuadratureResult`; raises :class:`QuadratureError`
+    Endpoints may be +-inf; infinite ranges go through a
+    double-exponential substitution.  Returns a
+    :class:`QuadratureResult`; raises :class:`QuadratureError`
     (carrying the best estimate) if the tolerance cannot be met within
     the subdivision budget.
     """
@@ -191,7 +176,7 @@ def integrate(f, a, b, spec=None, transform="auto"):
     sign = 1.0
     if a > b:
         a, b, sign = b, a, -1.0
-    g, lo, hi = _transformed(_wrap_integrand(f), a, b, transform)
+    g, lo, hi = _transformed(_wrap_integrand(f), a, b)
 
     val, err, _ = _gk15(g, lo, hi)
     heap = [(-err, lo, hi, val, err)]
@@ -219,14 +204,9 @@ def integrate(f, a, b, spec=None, transform="auto"):
 
 
 # ----------------------------------------------------------------------
-# log Gamma and digamma
+# digamma
 # ----------------------------------------------------------------------
 
-# B_{2n}/(2n(2n-1)) for the Stirling series of log Gamma
-_STIRLING_LG = [
-    1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
-    1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0,
-]
 # B_{2n}/(2n) for the Stirling series of digamma
 _STIRLING_PSI = [
     1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
@@ -239,45 +219,6 @@ def _is_nonpositive_int(z):
     zr = np.real(z)
     zi = np.imag(z)
     return (zi == 0) & (zr <= 0) & (zr == np.round(zr))
-
-
-def _log_sin_pi(z):
-    """log sin(pi z), branch matching the principal log-gamma reflection.
-
-    Real arguments are treated as limits from the upper half-plane.
-    """
-    z = complex(z)
-    if z.imag < 0:
-        return np.conj(_log_sin_pi(np.conj(z)))
-    # sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}); |e^{2 i pi z}| <= 1
-    return (0.5j * math.pi - math.log(2.0) - 1j * math.pi * z
-            + np.log1p(-np.exp(2j * math.pi * z)))
-
-
-def _log_gamma_right(z):
-    """Principal log Gamma for Re z >= 0.5 via recurrence + Stirling."""
-    z = complex(z)
-    acc = 0.0 + 0.0j
-    while abs(z) < _SHIFT_RADIUS:
-        acc += np.log(z)
-        z = z + 1.0
-    w2 = 1.0 / (z * z)
-    series = 0.0
-    p = 1.0 / z
-    for c in _STIRLING_LG:
-        series += c * p
-        p *= w2
-    return (z - 0.5) * np.log(z) - z + _LOG_SQRT_2PI + series - acc
-
-
-def log_gamma(z):
-    """Principal branch of log Gamma(z) for complex z off the poles."""
-    z = complex(z)
-    if _is_nonpositive_int(z):
-        raise PoleError("log_gamma pole at nonpositive integer %s" % z)
-    if z.real >= 0.5:
-        return _log_gamma_right(z)
-    return math.log(math.pi) - _log_sin_pi(z) - _log_gamma_right(1.0 - z)
 
 
 def _cot_pi(z):
@@ -365,19 +306,6 @@ def erfcx(z):
     w = _faddeeva_upper(np.where(left, -1j * z_in, 1j * z_in))
     out = np.where(left, 2.0 * np.exp(zz) - w, w)
     return complex(out) if z_in.ndim == 0 else out
-
-
-def erfc(z):
-    """Complementary error function for complex argument."""
-    z = complex(z)
-    if abs(z) > 1e4:
-        raise DomainError("erfc limited to |z| <= 1e4")
-    if z.real < 0:
-        return 2.0 - erfc(-z)
-    mz2 = -z * z
-    if mz2.real > 705.0:
-        raise OverflowRangeError("erfc scale factor overflows for z = %s" % z)
-    return complex(np.exp(mz2) * _faddeeva_upper(1j * z))
 
 
 # ----------------------------------------------------------------------
@@ -517,12 +445,16 @@ def bessel_k_scaled(nu, x):
     return kmu
 
 
-def bessel_k_complex_order(nu, x, spec=None, scaled=False):
-    """K_nu(x) for complex order nu (|Im nu| <= 10), real x > 0.
+# K of complex order is an integral on a finite range; its tolerances
+_COMPLEX_ORDER_SPEC = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
 
-    Uses the integral representation int_0^inf e^{-x cosh u} cosh(nu u) du,
-    truncated where the integrand falls below the double underflow range.
-    With scaled=True returns e^x K_nu(x) instead.
+
+def bessel_k_complex_order(nu, x):
+    """Scaled e^x K_nu(x) for complex order nu (|Im nu| <= 10), real x > 0.
+
+    Uses the integral representation int_0^inf e^{-x (cosh u - 1)}
+    cosh(nu u) du, truncated where the integrand falls below the double
+    underflow range.
     """
     nu = complex(nu)
     if x <= 0.0:
@@ -531,15 +463,12 @@ def bessel_k_complex_order(nu, x, spec=None, scaled=False):
         raise DomainError("bessel_k_complex_order limited to |Im nu| <= 10")
     if nu.real < 0:
         nu = -nu  # K_{-nu} = K_nu
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
-    shift = x if scaled else 0.0
     upper = 1.0
-    while (x * math.cosh(upper) - shift - nu.real * upper < 745.0
+    while (x * math.cosh(upper) - x - nu.real * upper < 745.0
            and upper < 60.0):
         upper += 0.5
 
     def f(u):
-        return np.exp(-x * np.cosh(u) + shift) * np.cosh(nu * u)
+        return np.exp(-x * np.cosh(u) + x) * np.cosh(nu * u)
 
-    return integrate(f, 0.0, upper, spec=spec).value
+    return integrate(f, 0.0, upper, spec=_COMPLEX_ORDER_SPEC).value

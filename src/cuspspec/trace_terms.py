@@ -157,7 +157,7 @@ def identity_term(area, t):
     return _shaped(out, shape)
 
 
-def hyperbolic_trace(spectrum, t, pinched_only=False):
+def hyperbolic_trace(spectrum, t):
     """Geodesic sum e^{-t/4}/sqrt(16 pi t) * sum_k sum_gamma
     mult * l / sinh(k l / 2) * e^{-(k l)^2 / 4t}.
 
@@ -169,7 +169,7 @@ def hyperbolic_trace(spectrum, t, pinched_only=False):
     against e^{-k l/2 - (k l)^2/4t} in blocks of bounded size.
     """
     t, shape = _t_array(t, "hyperbolic_trace")
-    entries = [e for e in spectrum.entries if e.pinched or not pinched_only]
+    entries = spectrum.entries
     total = np.zeros_like(t)
     if entries:
         ell = np.array([e.length for e in entries])
@@ -296,18 +296,27 @@ def parabolic_p_asymptotic(t, terms=5):
 
 
 def phi_log_deriv(model, s):
-    """phi'/phi(s) = log q + sum n(rho) [1/(s-1+conj(rho)) - 1/(s-rho)]."""
-    s = complex(s)
-    out = complex(math.log(model.q))
+    """phi'/phi(s) = log q + sum n(rho) [1/(s-1+conj(rho)) - 1/(s-rho)].
+
+    s is a complex scalar (complex result) or an array (complex array of
+    its shape).
+    """
+    s = np.asarray(s, dtype=complex)
+    out = np.full_like(s, math.log(model.q))
     for rho, n in model.resonances:
         zero = 1.0 - np.conj(rho)
-        if abs(s - rho) < 1e-12 or abs(s - zero) < 1e-12:
-            raise PoleError("phi'/phi evaluated at a pole or zero: %s" % s)
+        if np.any((np.abs(s - rho) < 1e-12) | (np.abs(s - zero) < 1e-12)):
+            raise PoleError("phi'/phi evaluated at a pole or zero")
         out += n * (1.0 / (s - zero) - 1.0 / (s - rho))
-    return out
+    return complex(out) if s.ndim == 0 else out
 
 
-def scattering_integral(model, t, spec=None):
+# tolerances of the scattering integral
+SCATTERING_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
+                                 max_subdivisions=4000)
+
+
+def scattering_integral(model, t):
     """-(1/4pi) int_R e^{-(1/4+lam^2)t} phi'/phi(1/2 + i lam) dlam.
 
     For a conjugation-closed model the integrand's real part is even and
@@ -318,20 +327,12 @@ def scattering_integral(model, t, spec=None):
     for rho, _ in model.resonances:
         if abs(rho.real - 0.5) < 1e-9:
             raise DomainError("resonance on the critical line")
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
-                              max_subdivisions=4000)
-
-    log_q = math.log(model.q)
 
     def f(lam):
-        s = 0.5 + 1j * lam
-        val = np.full_like(lam, log_q, dtype=complex)
-        for rho, n in model.resonances:
-            val += n * (1.0 / (s - (1.0 - np.conj(rho))) - 1.0 / (s - rho))
-        return np.exp(-(0.25 + lam * lam) * t) * np.real(val)
+        return (np.exp(-(0.25 + lam * lam) * t)
+                * np.real(phi_log_deriv(model, 0.5 + 1j * lam)))
 
-    half = specfun.integrate(f, 0.0, np.inf, spec=spec).value.real
+    half = specfun.integrate(f, 0.0, np.inf, spec=SCATTERING_SPEC).value.real
     return -1.0 / (4.0 * math.pi) * 2.0 * half
 
 

@@ -120,14 +120,23 @@ class RelativeDeterminantResult:
     det_hyp: float
 
 
-def _tail_estimate(theta, h, t_max, min_decay, n_points=8):
+# tolerances of the small-t remainder and mid-range integrals
+_MELLIN_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10,
+                              max_subdivisions=4000)
+# tolerances of the tail integral int_{t_max}^inf e^{-mu t}/t dt
+_TAIL_SPEC = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-10)
+# samples of theta on the last decade for the tail fit
+_TAIL_POINTS = 8
+
+
+def _tail_estimate(theta, h, t_max, min_decay):
     """Fit C e^{-mu t} on the last decade and integrate the tail at s=0.
 
     Returns (tail_value, tail_error).  A tail already below the noise
     floor contributes zero.
     """
     t_lo = max(1.0, t_max / 10.0)
-    ts = np.geomspace(t_lo, t_max, n_points)
+    ts = np.geomspace(t_lo, t_max, _TAIL_POINTS)
     ys = theta(ts) - h
     ay = np.abs(ys)
     if np.max(ay) < 1e-280:
@@ -148,14 +157,12 @@ def _tail_estimate(theta, h, t_max, min_decay, n_points=8):
     c = math.copysign(math.exp(intercept), ys[0])
     # int_{t_max}^inf e^{-mu t}/t dt, computed by quadrature
     e1 = integrate(lambda u: np.exp(-mu * u) / u, t_max, np.inf,
-                   spec=QuadratureSpec(abs_tol=1e-16, rel_tol=1e-10),
-                   transform="de").value.real
+                   spec=_TAIL_SPEC).value.real
     tail = c * e1
     return tail, abs(tail) * max(resid, 0.05)
 
 
-def mellin_zeta_prime0(theta, expansion, t_max, quad_spec=None,
-                       t_lo=0.0, min_decay=0.2):
+def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
     """zeta'(0) and determinant exp(-zeta'(0)) of a trace function.
 
     theta: array-valued callable t -> Tr(relative heat operator); it is
@@ -164,8 +171,9 @@ def mellin_zeta_prime0(theta, expansion, t_max, quad_spec=None,
     expansion: declared small-t behavior of theta plus the constant h.
     t_max: end of the numerically trusted window (finite, >= 1).
     t_lo: optional positive cut below which the expansion remainder is
-    not evaluated numerically (used when theta itself is a quadrature
-    whose absolute noise is amplified by cancellation as t -> 0); the
+    not evaluated numerically, for a theta whose remainder is lost to
+    cancellation as t -> 0 (a surface trace of order area/(4 pi t)
+    minus its expansion leaves rounding noise of that order); the
     dropped piece is bounded from the local power of the remainder and
     charged to small_t_error.
     min_decay: lower bound demanded of the fitted tail decay rate.
@@ -174,9 +182,6 @@ def mellin_zeta_prime0(theta, expansion, t_max, quad_spec=None,
         raise DomainError("t_max must be finite and >= 1")
     if not 0.0 <= t_lo < 1.0:
         raise DomainError("t_lo must lie in [0, 1)")
-    if quad_spec is None:
-        quad_spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10,
-                                   max_subdivisions=4000)
     h = expansion.h
 
     # analytic Mellin images of the declared terms at s = 0
@@ -214,14 +219,14 @@ def mellin_zeta_prime0(theta, expansion, t_max, quad_spec=None,
     def small_integrand(u):
         return remainder(u * u) * 2.0 / u
 
-    small = integrate(small_integrand, u_lo, 1.0, spec=quad_spec)
+    small = integrate(small_integrand, u_lo, 1.0, spec=_MELLIN_SPEC)
     small_err = small.error
     if t_lo > 0.0:
         # charge the dropped piece int_0^{t_lo} |R|/t ~ |R(t_lo)|/p
         small_err += abs(r_cut) / 0.5
 
     mid = integrate(lambda t: (theta(t) - h) / t, 1.0, t_max,
-                    spec=quad_spec)
+                    spec=_MELLIN_SPEC)
 
     tail, tail_err = _tail_estimate(theta, h, t_max, min_decay)
 
@@ -253,7 +258,7 @@ def _xi_expansion():
 @lru_cache(maxsize=1)
 def _xi_constant():
     res = mellin_zeta_prime0(trace_terms.cusp_term, _xi_expansion(),
-                             t_max=60.0, t_lo=1e-4)
+                             t_max=60.0)
     return res.zeta_prime_zero
 
 
@@ -295,12 +300,15 @@ def surface_expansion(surface, cusp_starts):
 
 
 def max_t_for_cutoff(cutoff, eps_trunc):
-    """Largest trusted t for a spectrum truncated at the given length."""
+    """Largest trusted t for a spectrum truncated at the given length;
+    the truncation tolerance must lie in (0, 1)."""
+    if not 0.0 < eps_trunc < 1.0:
+        raise DomainError("eps_trunc must lie in (0, 1)")
     return cutoff * cutoff / (4.0 * math.log(1.0 / eps_trunc))
 
 
 def relative_determinant(surface, spectrum, cusp_starts, t_max,
-                         eps_trunc=0.02, quad_spec=None):
+                         eps_trunc=0.02):
     """Relative determinant of the surface Laplacian against the
     reference cusp model, through the Mellin engine.
 
@@ -323,8 +331,10 @@ def relative_determinant(surface, spectrum, cusp_starts, t_max,
             surface, spectrum, cusp_starts, t)
 
     expansion = surface_expansion(surface, cusp_starts)
-    zeta = mellin_zeta_prime0(theta, expansion, t_max,
-                              quad_spec=quad_spec, t_lo=1e-3)
+    # the identity term's area/(4 pi t) cancels against the expansion in
+    # floating point; without the cut the remainder at t = 1e-9 reads
+    # 6e-8 and the small-t integral does not converge
+    zeta = mellin_zeta_prime0(theta, expansion, t_max, t_lo=1e-3)
     det_hyp = zeta.determinant / math.exp(-xi_prime0(surface.cusps))
     return RelativeDeterminantResult(zeta=zeta, det_hyp=det_hyp)
 

@@ -212,14 +212,14 @@ def test_criterion_8_degeneration_sweep():
                           6.0, surface)
     grid = sorted(np.geomspace(1e-3, 1e-1, 15), reverse=True)
 
-    rows1 = degeneration.pinch_sweep(base, [0], grid, None, 0.0, surface)
+    rows1 = degeneration.pinch_sweep(base, [0], grid, 0.0, surface)
     ests1 = [r.log_det_estimate for r in rows1]
     dec1 = all(b < a for a, b in zip(ests1, ests1[1:]))
     x = np.array([1.0 / r.ell for r in rows1])
     slope1 = float(np.polyfit(x, ests1, 1)[0])
     rel1 = abs(slope1 + math.pi ** 2 / 6.0) / (math.pi ** 2 / 6.0)
 
-    rows2 = degeneration.pinch_sweep(base, [0, 1], grid, None, 0.0, surface)
+    rows2 = degeneration.pinch_sweep(base, [0, 1], grid, 0.0, surface)
     ests2 = [r.log_det_estimate for r in rows2]
     slope2 = float(np.polyfit(x, ests2, 1)[0])
     rel2 = abs(slope2 + math.pi ** 2 / 3.0) / (math.pi ** 2 / 3.0)

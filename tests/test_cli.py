@@ -1,7 +1,12 @@
+import importlib
+import importlib.util
 import json
 import math
+import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from cuspspec import degeneration, fuchsian, zeta_engine
 from cuspspec.fuchsian import SurfaceData
@@ -164,6 +169,38 @@ class TestErrorChannel:
         assert out.returncode == 2
         assert json.loads(out.stderr)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "nan"],
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "inf"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "nan",
+         "--t-max", "8"],
+        ["spectrum", "--group", "once-punctured-torus(nan)",
+         "--max-length", "6"],
+        ["spectrum", "--group", "once-punctured-torus(inf)",
+         "--max-length", "6"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "2", "--eps-trunc", "0"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "2", "--eps-trunc", "1"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "2", "--eps-trunc", "2"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "2", "--eps-trunc", "nan"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-num", "0"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-grid", ","],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-grid", "1e-200"],
+    ])
+    def test_bad_input_refused(self, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["error"] == "DomainError"
+        assert out.stdout == ""
+
     def test_det_nan_t_max_refused(self):
         out = run_cli("det", "--group", "thrice-punctured-sphere",
                       "--cutoff", "6", "--t-max", "nan")
@@ -174,3 +211,15 @@ class TestErrorChannel:
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
                       "--max-length", "5", "--out", "/nonexistent/dir/x.csv")
         assert out.returncode == 4
+
+
+def test_bench_layer_names_resolve():
+    """Every (module, function) the benchmark's tracing shim wraps must
+    exist, or a traced benchmark run fails."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench/shim.py"
+    spec = importlib.util.spec_from_file_location("bench_shim", path)
+    shim = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shim)
+    for module, name in shim.LAYERS:
+        mod = importlib.import_module("cuspspec." + module)
+        assert callable(getattr(mod, name))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cuspspec import cusp_model, specfun
-from cuspspec.cusp_model import CuspFamily, cusp_heat_kernel, family_trace
+from cuspspec.cusp_model import CuspFamily, cusp_heat_kernel
 from cuspspec.cusp_model import relative_cusp_trace
 from cuspspec.errors import DomainError
 
@@ -84,12 +84,6 @@ class TestCuspFamily:
     def test_log_sum(self):
         fam = CuspFamily((1.0, math.e, math.e ** 2))
         assert abs(fam.log_sum - 3.0) < 1e-14
-
-    def test_family_trace_additive(self):
-        t = 1.3
-        fam = CuspFamily((2.0, 5.0))
-        ref = relative_cusp_trace(2.0, t) + relative_cusp_trace(5.0, t)
-        assert abs(family_trace(fam, t) - ref) < 1e-15
 
     def test_validation(self):
         with pytest.raises(DomainError):

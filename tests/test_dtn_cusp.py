@@ -5,10 +5,8 @@ import pytest
 
 from cuspspec import dtn_cusp
 from cuspspec.dtn_cusp import (
-    DtnSymbol,
     SplitInputs,
     n2_symbol,
-    n2_symbol_record,
     n2_zero_symbol,
     splitting_det,
 )
@@ -83,16 +81,6 @@ class TestZeroMode:
 
 
 class TestRecordsAndSplitting:
-    def test_record_fields(self):
-        rec = n2_symbol_record(0.8, 2, 1.5)
-        assert isinstance(rec, DtnSymbol)
-        assert rec.mode == 2 and rec.beta == 1.5
-        assert rec.value == n2_symbol(0.8, 2, 1.5)
-
-    def test_record_validation(self):
-        with pytest.raises(DomainError):
-            DtnSymbol(beta=0.5, mode=1, value=1.0)
-
     def test_splitting_multiplicative(self):
         base = SplitInputs(det_compact=2.0, det_cusp_modes=3.0,
                            detstar_R=5.0, area=4.0 * math.pi,

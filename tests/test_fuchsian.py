@@ -185,10 +185,11 @@ class TestEnumeration:
         spec = enumerate_length_spectrum(g, 6.0, 5)
         assert spec.word_radius == 5
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
         g = builtin_group("thrice-punctured-sphere")
+        monkeypatch.setattr(fuchsian, "NODE_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            enumerate_length_spectrum(g, 6.0, 12, max_nodes=100)
+            enumerate_length_spectrum(g, 6.0, 12)
 
     def test_argument_validation(self):
         g = builtin_group("thrice-punctured-sphere")

@@ -172,20 +172,6 @@ class TestHyperbolicTrace:
         direct *= math.exp(-t / 4.0) / math.sqrt(16.0 * math.pi * t)
         assert abs(hyperbolic_trace(spec, t) - direct) < 1e-14
 
-    def test_pinched_split_additive(self):
-        g = builtin_group("thrice-punctured-sphere")
-        base = enumerate_length_spectrum(g, 6.0, 6)
-        spec = pinch_family(base, [0], 0.05)
-        t = 0.8
-        total = hyperbolic_trace(spec, t)
-        pinched = hyperbolic_trace(spec, t, pinched_only=True)
-        # additivity: total = pinched part + non-pinched part
-        non_pinched_entries = [e for e in spec.entries if not e.pinched]
-        from cuspspec.fuchsian import LengthSpectrum
-        rest_spec = LengthSpectrum(tuple(non_pinched_entries), spec.cutoff,
-                                   spec.surface, spec.word_radius)
-        assert abs(total - pinched - hyperbolic_trace(rest_spec, t)) < 1e-15
-
     def test_tiny_length_no_overflow(self):
         g = builtin_group("thrice-punctured-sphere")
         spec = pinch_family(enumerate_length_spectrum(g, 6.0, 6), [0], 1e-6)
