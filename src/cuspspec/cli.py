@@ -9,6 +9,7 @@ non-convergence, 4 I/O failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,12 +20,16 @@ import numpy as np
 from . import __version__
 from . import cusp_model, degeneration, dtn_cusp, fuchsian, specfun
 from . import trace_terms, zeta_engine
-from .errors import NumericsError, PreconditionError
+from .errors import DomainError, NumericsError, PreconditionError
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+# exit code of each error family; every one is reported as a JSON object
+EXIT_CODES = {PreconditionError: EXIT_PRECONDITION,
+              NumericsError: EXIT_NUMERIC,
+              OSError: EXIT_IO}
 
 
 def _fmt(x):
@@ -64,8 +69,15 @@ def _write(path, text):
             fh.write(text)
 
 
+def _parse_float(item):
+    try:
+        return float(item)
+    except ValueError:
+        raise DomainError("not a number: %r" % item.strip()) from None
+
+
 def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x.strip()]
+    return [_parse_float(x) for x in text.split(",") if x.strip()]
 
 
 def _spectrum_args(args):
@@ -82,11 +94,14 @@ def _cusp_family(args, group):
     return cusp_model.CuspFamily(tuple(starts))
 
 
-def _provenance(args, extra=()):
-    lines = ["cuspspec %s" % __version__,
-             "command: %s" % args.command]
-    lines.extend(extra)
-    return lines
+def _csv(args, provenance, columns, rows):
+    """CSV text: '# ' provenance lines, the column line, then one line of
+    17-digit cells per row."""
+    lines = ["# cuspspec %s" % __version__, "# command: %s" % args.command]
+    lines += ["# %s" % s for s in provenance]
+    lines.append(",".join(columns))
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_spectrum(args):
@@ -94,34 +109,34 @@ def cmd_spectrum(args):
     if args.format == "json":
         _write(args.out, _json_dump(fuchsian.spectrum_to_json(spec)) + "\n")
     else:
-        header = "".join("# %s\n" % s for s in _provenance(
+        _write(args.out, _csv(
             args, ["group: %s" % args.group,
                    "max_length: %s" % _fmt(args.max_length),
                    "word_radius: %d" % spec.word_radius,
                    "merge_tolerance: %s" % _fmt(fuchsian.MERGE_TOL),
-                   "node_budget: %d" % fuchsian.NODE_BUDGET]))
-        _write(args.out, header + fuchsian.spectrum_to_csv(spec))
+                   "node_budget: %d" % fuchsian.NODE_BUDGET],
+            ["length", "mult", "pinched"],
+            [(e.length, e.mult, e.pinched) for e in spec.entries]))
     return EXIT_OK
 
 
 def cmd_trace(args):
+    ts = np.array(_parse_floats(args.t))
     group, spec = _spectrum_args(args)
     fam = _cusp_family(args, group)
-    ts = np.array(_parse_floats(args.t))
     surface = group.surface
     ident = trace_terms.identity_term(surface.area, ts)
     hyp = trace_terms.hyperbolic_trace(spec, ts)
     para = surface.cusps * trace_terms.cusp_term(ts)
     cusp = np.exp(-ts / 4.0) / np.sqrt(4.0 * math.pi * ts) * fam.log_sum
-    rows = ["t,identity,hyperbolic,parabolic,cusp_start,relative_trace"]
-    for row in zip(ts, ident, hyp, para, cusp, ident + hyp + para + cusp):
-        rows.append(",".join(_fmt(v) for v in row))
-    header = "".join("# %s\n" % s for s in _provenance(
+    _write(args.out, _csv(
         args, ["group: %s" % args.group,
                "max_length: %s" % _fmt(args.max_length),
                "word_radius: %d" % spec.word_radius,
-               "cusp_starts: %s" % ",".join(_fmt(a) for a in fam.starts)]))
-    _write(args.out, header + "\n".join(rows) + "\n")
+               "cusp_starts: %s" % ",".join(_fmt(a) for a in fam.starts)],
+        ["t", "identity", "hyperbolic", "parabolic", "cusp_start",
+         "relative_trace"],
+        zip(ts, ident, hyp, para, cusp, ident + hyp + para + cusp)))
     return EXIT_OK
 
 
@@ -139,46 +154,48 @@ def cmd_det(args):
 def cmd_scatter_check(args):
     with open(args.model) as fh:
         model = trace_terms.model_from_json(json.load(fh))
-    ts = _parse_floats(args.t)
-    rows = ["t,integral,erfc_sum,residual"]
-    worst = 0.0
-    for t in ts:
+    rows = []
+    for t in _parse_floats(args.t):
         a = trace_terms.scattering_integral(model, t)
         b = trace_terms.scattering_erfc_sum(model, t)
-        resid = abs(a - b) / (1.0 + abs(b))
-        worst = max(worst, resid)
-        rows.append(",".join(_fmt(v) for v in (t, a, b, resid)))
+        rows.append((t, a, b, abs(a - b) / (1.0 + abs(b))))
     quad = trace_terms.SCATTERING_SPEC
-    header = "".join("# %s\n" % s for s in _provenance(
+    _write(args.out, _csv(
         args, ["model: %s" % os.path.basename(args.model),
                "quad_abs_tol: %s" % _fmt(quad.abs_tol),
-               "quad_rel_tol: %s" % _fmt(quad.rel_tol)]))
-    _write(args.out, header + "\n".join(rows) + "\n")
-    sys.stderr.write("max residual: %s\n" % _fmt(worst))
+               "quad_rel_tol: %s" % _fmt(quad.rel_tol)],
+        ["t", "integral", "erfc_sum", "residual"], rows))
+    sys.stderr.write("max residual: %s\n" % _fmt(
+        max((r[3] for r in rows), default=0.0)))
     return EXIT_OK
 
 
 def cmd_pinch_sweep(args):
-    group, spec = _spectrum_args(args)
     if args.ell_grid:
         grid = _parse_floats(args.ell_grid)
     else:
+        if args.ell_num < 1:
+            raise DomainError("--ell-num must be at least 1")
+        if not all(math.isfinite(x) and x > 0
+                   for x in (args.ell_start, args.ell_stop)):
+            raise DomainError("--ell-start and --ell-stop must be finite "
+                              "and positive")
         grid = list(np.geomspace(args.ell_start, args.ell_stop,
                                  args.ell_num))
         grid.sort(reverse=True)
+    group, spec = _spectrum_args(args)
     indices = args.pinch_index if args.pinch_index else [0]
     rows = degeneration.pinch_sweep(
         spec, indices, grid, args.baseline, group.surface)
-    header = _provenance(args, [
-        "group: %s" % args.group,
-        "max_length: %s" % _fmt(args.max_length),
-        "word_radius: %d" % spec.word_radius,
-        "pinch_indices: %s" % ",".join(str(i) for i in indices),
-        "baseline: %s" % _fmt(args.baseline),
-        "small_eig_model: ell^2 per pinched geodesic (synthetic)",
-        "wolpert_tol: %s" % _fmt(degeneration.WOLPERT_TOL),
-    ])
-    _write(args.out, degeneration.rows_to_csv(rows, header))
+    _write(args.out, _csv(
+        args, ["group: %s" % args.group,
+               "max_length: %s" % _fmt(args.max_length),
+               "word_radius: %d" % spec.word_radius,
+               "pinch_indices: %s" % ",".join(str(i) for i in indices),
+               "baseline: %s" % _fmt(args.baseline),
+               "small_eig_model: ell^2 per pinched geodesic (synthetic)"],
+        [f.name for f in dataclasses.fields(degeneration.PinchSweepRow)],
+        map(dataclasses.astuple, rows)))
     return EXIT_OK
 
 
@@ -207,8 +224,8 @@ def cmd_selfcheck(args):
     check("scattering identity", _selfcheck_scatter)
     check("zeta engine two-eigenvalue oracle", _selfcheck_zeta)
     check("wolpert asymptotic agreement", lambda: abs(
-        degeneration.wolpert_sum(0.01, 1.0)
-        - degeneration.wolpert_asymptotic(0.01, 1.0)) < 1.0)
+        degeneration.wolpert_sum(0.01)
+        - degeneration.wolpert_asymptotic(0.01)) < 1.0)
     return EXIT_OK if all(checks) else EXIT_NUMERIC
 
 
@@ -315,6 +332,13 @@ def build_parser(config=None):
     return p
 
 
+def _error(exc, code):
+    """Report exc as one JSON object on stderr; return the exit code."""
+    sys.stderr.write(_json_dump(
+        {"error": type(exc).__name__, "message": str(exc)}) + "\n")
+    return code
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     config = {}
@@ -325,9 +349,7 @@ def main(argv=None):
             with open(cfg_path) as fh:
                 config = json.load(fh)
         except (IndexError, OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(_json_dump(
-                {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-            return EXIT_IO
+            return _error(exc, EXIT_IO)
         # --config may appear before or after the subcommand; the
         # values were consumed above, so remove the flag either way
         del argv[i:i + 2]
@@ -335,18 +357,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except PreconditionError as exc:
-        sys.stderr.write(_json_dump(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return EXIT_PRECONDITION
-    except NumericsError as exc:
-        sys.stderr.write(_json_dump(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return EXIT_NUMERIC
-    except OSError as exc:
-        sys.stderr.write(_json_dump(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return EXIT_IO
+    except tuple(EXIT_CODES) as exc:
+        return _error(exc, next(code for cls, code in EXIT_CODES.items()
+                                if isinstance(exc, cls)))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 The log-determinant of a degenerating family is assembled from a fixed
 baseline, the cusp constant, Wolpert's series over the pinched
-geodesics, and the synthetic small eigenvalues:
+geodesics (in closed form through the modular transformation of
+Dedekind's eta), and the synthetic small eigenvalues:
 
     log_det_estimate = baseline - m*c - wolpert_sum + small_eig_logsum
 
@@ -11,18 +12,14 @@ folded in; sweeps demonstrate trends (signs and slopes), not absolute
 values.
 """
 
-import csv
-import io
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from . import zeta_engine
-from .errors import DomainError
+from .errors import DomainError, OverflowRangeError
 
 __all__ = ["PinchSweepRow", "wolpert_sum", "wolpert_asymptotic",
-           "pinch_sweep", "rows_to_csv", "rows_from_csv", "WOLPERT_TOL"]
+           "pinch_sweep"]
 
 
 @dataclass(frozen=True)
@@ -35,47 +32,53 @@ class PinchSweepRow:
     baseline: float
 
     def __post_init__(self):
-        for name in ("ell", "wolpert_sum", "wolpert_asymptotic",
-                     "small_eig_logsum", "log_det_estimate", "baseline"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError("PinchSweepRow.%s must be finite" % name)
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError("PinchSweepRow.%s must be finite" % f.name)
 
 
-_CHUNK = 1 << 16
-# absolute bound on the dropped tail of the Wolpert series
-WOLPERT_TOL = 1e-12
+# below the crossover the nome e^{-4 pi^2/ell} of the eta-transformed
+# product is at most e^{-4 pi^2}; above it e^{-ell} <= e^{-1}, and 40
+# factors leave a tail below e^{-40} relative
+_ETA_CROSSOVER = 1.0
+_FACTORS = 40
 
 
-def wolpert_sum(ell, s):
-    """sum_{n>=1} e^{-n s ell} / (n (1 - e^{-n ell})).
+def _log_euler(x):
+    """-log prod_{k>=1} (1 - e^{-k x}) for x >= 1, to _FACTORS factors."""
+    return math.fsum(-math.log1p(-math.exp(-k * x))
+                     for k in range(1, _FACTORS + 1))
 
-    Summed in chunks until the geometric tail bound drops below
-    WOLPERT_TOL.
+
+def wolpert_sum(ell):
+    """sum_{n>=1} e^{-n ell} / (n (1 - e^{-n ell})) = -log (q; q)_inf.
+
+    With q = e^{-ell} = e^{2 pi i tau}, Dedekind's eta(-1/tau) =
+    sqrt(-i tau) eta(tau) gives, below the crossover,
+
+        pi^2/(6 ell) - log(2 pi/ell)/2 - ell/24
+            - sum_k log(1 - e^{-4 pi^2 k/ell});
+
+    above it the product itself converges as fast.
     """
-    if ell <= 0.0 or s <= 0.0:
-        raise DomainError("wolpert_sum requires ell > 0 and s > 0")
-    total = 0.0
-    start = 1
-    while True:
-        n = np.arange(start, start + _CHUNK, dtype=float)
-        total += float(np.sum(np.exp(-n * s * ell) / (n * (-np.expm1(-n * ell)))))
-        start += _CHUNK
-        # every further term is at most e^{-n s ell}/(start (1-e^{-start ell}))
-        head = -math.expm1(-s * ell)
-        tail = (math.exp(-start * s * ell)
-                / (start * (-math.expm1(-start * ell)) * head))
-        if tail < WOLPERT_TOL:
-            return total
+    if not (math.isfinite(ell) and ell > 0.0):
+        raise DomainError("wolpert_sum requires a finite ell > 0")
+    if ell >= _ETA_CROSSOVER:
+        return _log_euler(ell)
+    total = (math.pi ** 2 / (6.0 * ell)
+             + 0.5 * (math.log(ell) - math.log(2.0 * math.pi))
+             - ell / 24.0 + _log_euler(4.0 * math.pi ** 2 / ell))
+    if not math.isfinite(total):
+        raise OverflowRangeError("wolpert_sum(%g) exceeds the double range"
+                                 % ell)
+    return total
 
 
-def wolpert_asymptotic(ell, s):
-    """Small-ell form pi^2/(6 ell) + (s - 1/2) log(1 - e^{-s ell})."""
-    if ell <= 0.0 or s <= 0.0:
-        raise DomainError("wolpert_asymptotic requires ell > 0 and s > 0")
-    if ell > 0.5:
-        raise DomainError("wolpert_asymptotic limited to ell <= 0.5")
-    return (math.pi ** 2 / (6.0 * ell)
-            + (s - 0.5) * math.log(-math.expm1(-s * ell)))
+def wolpert_asymptotic(ell):
+    """Small-ell form pi^2/(6 ell) + log(1 - e^{-ell})/2."""
+    if not 0.0 < ell <= 0.5:
+        raise DomainError("wolpert_asymptotic requires 0 < ell <= 0.5")
+    return math.pi ** 2 / (6.0 * ell) + 0.5 * math.log(-math.expm1(-ell))
 
 
 def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha,
@@ -90,8 +93,8 @@ def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha,
     grid = [float(x) for x in ell_grid]
     if not grid:
         raise DomainError("ell grid must not be empty")
-    if any(x <= 0 for x in grid):
-        raise DomainError("ell grid must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in grid):
+        raise DomainError("ell grid must be finite and positive")
     if any(b - a <= 0 for a, b in zip(grid[1:], grid[:-1])):
         raise DomainError("ell grid must be decreasing")
     indices = list(pinch_indices)
@@ -103,35 +106,14 @@ def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha,
     rows = []
     for ell in grid:
         eigs = [ell * ell] * num_pinched
-        # ell^2 underflows to 0 below ell ~ 2e-162, where neither its log
-        # nor the Wolpert series (about 1/ell terms) can be evaluated
+        # ell^2 underflows to 0 below ell ~ 2e-162, where its log is -inf
         if any(v <= 0 for v in eigs):
             raise DomainError("small eigenvalues must be positive")
-        wsum = num_pinched * wolpert_sum(ell, 1.0) if indices else 0.0
-        wasym = (num_pinched * wolpert_asymptotic(ell, 1.0)
+        wsum = num_pinched * wolpert_sum(ell) if indices else 0.0
+        wasym = (num_pinched * wolpert_asymptotic(ell)
                  if indices and ell <= 0.5 else 0.0)
         logsum = float(sum(math.log(v) for v in eigs))
         est = baseline_logdet_hyp_alpha - mc - wsum + logsum
         rows.append(PinchSweepRow(ell, wsum, wasym, logsum, est,
                                   baseline_logdet_hyp_alpha))
     return rows
-
-
-def rows_to_csv(rows, header_comments=()):
-    buf = io.StringIO()
-    for line in header_comments:
-        buf.write("# %s\n" % line)
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["ell", "wolpert_sum", "wolpert_asymptotic",
-                "small_eig_logsum", "log_det_estimate", "baseline"])
-    for r in rows:
-        w.writerow([format(getattr(r, f), ".17g") for f in (
-            "ell", "wolpert_sum", "wolpert_asymptotic",
-            "small_eig_logsum", "log_det_estimate", "baseline")])
-    return buf.getvalue()
-
-
-def rows_from_csv(text):
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    rows = list(csv.reader(io.StringIO("\n".join(lines))))
-    return [PinchSweepRow(*(float(x) for x in r)) for r in rows[1:] if r]

@@ -11,8 +11,6 @@ Completeness is only guaranteed within the explored word ball; the
 output records the word radius so callers can reason about truncation.
 """
 
-import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -28,8 +26,7 @@ __all__ = [
     "Mobius", "GroupPresentation", "SpectrumEntry", "LengthSpectrum",
     "SurfaceData", "geodesic_length", "builtin_group",
     "enumerate_length_spectrum", "pinch_family",
-    "spectrum_to_json", "spectrum_from_json",
-    "spectrum_to_csv", "spectrum_from_csv", "MERGE_TOL", "NODE_BUDGET",
+    "spectrum_to_json", "spectrum_from_json", "MERGE_TOL", "NODE_BUDGET",
 ]
 
 # enumerated lengths closer than this merge into one entry
@@ -326,22 +323,3 @@ def spectrum_from_json(obj):
     )
     return LengthSpectrum(entries, float(obj["cutoff"]), surf,
                           word_radius=obj.get("word_radius"))
-
-
-def spectrum_to_csv(spec):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["length", "mult", "pinched"])
-    for e in spec.entries:
-        w.writerow([format(e.length, ".17g"), e.mult, int(e.pinched)])
-    return buf.getvalue()
-
-
-def spectrum_from_csv(text, cutoff, surface, word_radius=None):
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    rows = list(csv.reader(io.StringIO("\n".join(lines))))
-    entries = tuple(
-        SpectrumEntry(float(r[0]), int(r[1]), bool(int(r[2])))
-        for r in rows[1:] if r
-    )
-    return LengthSpectrum(entries, cutoff, surface, word_radius=word_radius)

@@ -364,8 +364,8 @@ def _temme_pair(mu, x):
     raise QuadratureError("Temme series for K failed to converge")
 
 
-def _steed_pair(mu, x, scaled=False):
-    """(K_mu, K_{mu+1}) for |mu| <= 1/2, x > crossover (Steed CF2)."""
+def _steed_pair(mu, x):
+    """e^x (K_mu, K_{mu+1}) for |mu| <= 1/2, x > crossover (Steed CF2)."""
     a1 = 0.25 - mu * mu
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
@@ -392,8 +392,6 @@ def _steed_pair(mu, x, scaled=False):
         raise QuadratureError("Steed continued fraction for K failed")
     h = a1 * h
     kmu = math.sqrt(math.pi / (2.0 * x)) / s
-    if not scaled:
-        kmu *= math.exp(-x)
     k1 = kmu * (mu + x + 0.5 - h) / x
     return kmu, k1
 
@@ -406,21 +404,13 @@ def bessel_k(nu, x):
         raise DomainError("bessel_k limited to x < 700")
     if nu < 0.0 or nu > 50.0:
         raise DomainError("bessel_k limited to 0 <= nu <= 50")
-    n = int(nu + 0.5)
-    mu = nu - n  # mu in [-1/2, 1/2]
     # refuse where the result would overflow: K_nu ~ Gamma(nu)/2 (2/x)^nu
     if nu > 1.0:
         log_est = math.lgamma(nu) - math.log(2.0) + nu * math.log(2.0 / x)
         if log_est > 705.0:
             raise OverflowRangeError(
                 "K_%g(%g) exceeds the double range" % (nu, x))
-    if x <= BESSEL_K_CROSSOVER:
-        kmu, kmu1 = _temme_pair(mu, x)
-    else:
-        kmu, kmu1 = _steed_pair(mu, x)
-    for j in range(n):
-        kmu, kmu1 = kmu1, kmu + 2.0 * (mu + j + 1.0) / x * kmu1
-    return kmu
+    return math.exp(-x) * bessel_k_scaled(nu, x)
 
 
 def bessel_k_scaled(nu, x):
@@ -430,13 +420,13 @@ def bessel_k_scaled(nu, x):
     if nu < 0.0 or nu > 50.0:
         raise DomainError("bessel_k_scaled limited to 0 <= nu <= 50")
     n = int(nu + 0.5)
-    mu = nu - n
+    mu = nu - n  # mu in [-1/2, 1/2]
     if x <= BESSEL_K_CROSSOVER:
         kmu, kmu1 = _temme_pair(mu, x)
         scale = math.exp(x)
         kmu, kmu1 = kmu * scale, kmu1 * scale
     else:
-        kmu, kmu1 = _steed_pair(mu, x, scaled=True)
+        kmu, kmu1 = _steed_pair(mu, x)
     for j in range(n):
         kmu, kmu1 = kmu1, kmu + 2.0 * (mu + j + 1.0) / x * kmu1
         if kmu1 > 1e300:

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import importlib.util
 import json
@@ -8,14 +9,20 @@ import sys
 
 import pytest
 
-from cuspspec import degeneration, fuchsian, zeta_engine
-from cuspspec.fuchsian import SurfaceData
+from cuspspec import fuchsian, zeta_engine
 
 
 def run_cli(*argv):
+    # a hung command fails the test instead of stalling the suite
     return subprocess.run(
         [sys.executable, "-m", "cuspspec.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=120)
+
+
+def csv_records(stdout):
+    """The data rows of a CSV output, keyed by the column line."""
+    return list(csv.DictReader(
+        ln for ln in stdout.splitlines() if not ln.startswith("#")))
 
 
 class TestSpectrumCommand:
@@ -32,9 +39,9 @@ class TestSpectrumCommand:
     def test_csv_round_trips(self):
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
                       "--max-length", "6")
-        spec = fuchsian.spectrum_from_csv(
-            out.stdout, 6.0, SurfaceData(genus=0, cusps=3))
-        assert spec.entries[0].mult == 6
+        first = csv_records(out.stdout)[0]
+        assert abs(float(first["length"]) - 2.0 * math.acosh(3.0)) < 1e-12
+        assert first["mult"] == "6" and first["pinched"] == "0"
 
     def test_json_format_round_trips(self):
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
@@ -112,10 +119,31 @@ class TestPinchSweepCommand:
         out = run_cli("pinch-sweep", "--group", "thrice-punctured-sphere",
                       "--cutoff", "6", "--ell-num", "4")
         assert out.returncode == 0
-        rows = degeneration.rows_from_csv(out.stdout)
+        rows = csv_records(out.stdout)
         assert len(rows) == 4
-        ests = [r.log_det_estimate for r in rows]
+        ests = [float(r["log_det_estimate"]) for r in rows]
         assert all(b < a for a, b in zip(ests, ests[1:]))
+
+    def test_csv_layout(self):
+        out = run_cli("pinch-sweep", "--group", "thrice-punctured-sphere",
+                      "--cutoff", "6", "--ell-grid", "0.1,0.05")
+        lines = out.stdout.strip().split("\n")
+        comments = [ln for ln in lines if ln.startswith("# ")]
+        assert lines[:len(comments)] == comments
+        assert "# command: pinch-sweep" in comments
+        data = lines[len(comments):]
+        assert data[0] == ("ell,wolpert_sum,wolpert_asymptotic,"
+                           "small_eig_logsum,log_det_estimate,baseline")
+        assert len(data) == 3
+        assert float(data[1].split(",")[0]) == 0.1
+
+    def test_tiny_ell_in_closed_form(self):
+        # about 1/ell terms of the Wolpert series would never finish here
+        out = run_cli("pinch-sweep", "--group", "thrice-punctured-sphere",
+                      "--cutoff", "6", "--ell-grid", "1e-12")
+        assert out.returncode == 0
+        (row,) = csv_records(out.stdout)
+        assert all(math.isfinite(float(v)) for v in row.values())
 
 
 class TestSelfcheck:
@@ -194,6 +222,20 @@ class TestErrorChannel:
          "--cutoff", "6", "--ell-grid", ","],
         ["pinch-sweep", "--group", "thrice-punctured-sphere",
          "--cutoff", "6", "--ell-grid", "1e-200"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-num", "-1"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-start", "0"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-start", "-0.1"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-stop", "inf"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-grid", "nan"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-grid", "0.1,abc"],
+        ["trace", "--group", "thrice-punctured-sphere", "--max-length", "6",
+         "--t", "1,x"],
     ])
     def test_bad_input_refused(self, argv):
         out = run_cli(*argv)

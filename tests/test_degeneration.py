@@ -8,49 +8,54 @@ from cuspspec import degeneration, zeta_engine
 from cuspspec.degeneration import (
     PinchSweepRow,
     pinch_sweep,
-    rows_to_csv,
     wolpert_asymptotic,
     wolpert_sum,
 )
-from cuspspec.errors import DomainError
+from cuspspec.errors import DomainError, OverflowRangeError
 from cuspspec.fuchsian import builtin_group, enumerate_length_spectrum
 
 
-def _wolpert_oracle(ell, s, n_terms):
+def _wolpert_oracle(ell, n_terms):
     """Direct extended-precision partial sum."""
     with mp.workdps(30):
         e = mp.mpf(ell)
-        sv = mp.mpf(s)
         total = mp.mpf(0)
         for n in range(1, n_terms + 1):
-            total += mp.e ** (-n * sv * e) / (n * (1 - mp.e ** (-n * e)))
+            total += mp.e ** (-n * e) / (n * (1 - mp.e ** (-n * e)))
         return float(total)
 
 
 class TestWolpertSum:
     def test_matches_extended_precision_oracle(self):
-        for ell, s, n in ((1e-3, 1.0, 200000), (0.01, 0.5, 40000),
-                          (0.1, 2.0, 4000), (1.0, 1.0, 200)):
-            mine = wolpert_sum(ell, s)
-            ref = _wolpert_oracle(ell, s, n)
+        # rows on both sides of the crossover between the eta-transformed
+        # and the direct product
+        for ell, n in ((1e-3, 200000), (0.01, 40000), (0.1, 4000),
+                       (1.0, 200), (2.0, 100), (6.0, 40), (10.0, 40)):
+            mine = wolpert_sum(ell)
+            ref = _wolpert_oracle(ell, n)
             assert abs(mine - ref) < 1e-10 * abs(ref)
 
     def test_asymptotic_bounded_difference(self):
         for ell in np.geomspace(1e-4, 1e-1, 10):
-            d = abs(wolpert_sum(ell, 1.0) - wolpert_asymptotic(ell, 1.0))
+            d = abs(wolpert_sum(ell) - wolpert_asymptotic(ell))
             assert d <= 1.0
 
     def test_monotone_in_ell(self):
-        vals = [wolpert_sum(e, 1.0) for e in (0.01, 0.02, 0.05, 0.1)]
+        vals = [wolpert_sum(e) for e in (0.01, 0.02, 0.05, 0.1)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            wolpert_sum(0.0, 1.0)
+            wolpert_sum(0.0)
         with pytest.raises(DomainError):
-            wolpert_sum(0.1, -1.0)
+            wolpert_sum(math.nan)
         with pytest.raises(DomainError):
-            wolpert_asymptotic(0.7, 1.0)
+            wolpert_sum(math.inf)
+        # pi^2/(6 ell) exceeds the double range for subnormal ell
+        with pytest.raises(OverflowRangeError):
+            wolpert_sum(1e-310)
+        with pytest.raises(DomainError):
+            wolpert_asymptotic(0.7)
 
 
 class TestPinchSweep:
@@ -97,17 +102,3 @@ class TestPinchSweep:
     def test_row_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             PinchSweepRow(0.1, math.inf, 0.0, 0.0, 0.0, 0.0)
-
-
-class TestSerialization:
-    def test_csv_layout(self):
-        g = builtin_group("thrice-punctured-sphere")
-        spec = enumerate_length_spectrum(g, 6.0, 6)
-        rows = pinch_sweep(spec, [0], [0.1, 0.05], 0.0, g.surface)
-        text = rows_to_csv(rows, ["note"])
-        lines = text.strip().split("\n")
-        assert lines[0] == "# note"
-        assert lines[1] == ("ell,wolpert_sum,wolpert_asymptotic,"
-                            "small_eig_logsum,log_det_estimate,baseline")
-        assert len(lines) == 4
-        assert float(lines[2].split(",")[0]) == 0.1

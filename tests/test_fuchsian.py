@@ -253,14 +253,6 @@ class TestSerialization:
         back = fuchsian.spectrum_from_json(obj)
         assert back == spec
 
-    def test_csv_round_trip(self):
-        g = builtin_group("thrice-punctured-sphere")
-        spec = enumerate_length_spectrum(g, 7.0, 7)
-        text = fuchsian.spectrum_to_csv(spec)
-        back = fuchsian.spectrum_from_csv(text, spec.cutoff, spec.surface,
-                                          word_radius=spec.word_radius)
-        assert back == spec
-
     def test_pinched_flag_survives(self):
         g = builtin_group("thrice-punctured-sphere")
         spec = pinch_family(enumerate_length_spectrum(g, 6.0, 6), [0], 0.02)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -134,9 +135,10 @@ class TestBesselK:
 
     def test_scaled_consistency(self):
         for nu, x in ((0.5, 1.0), (1.2, 8.0)):
-            lhs = specfun.bessel_k_scaled(nu, x)
-            rhs = math.exp(x) * specfun.bessel_k(nu, x)
-            assert abs(lhs - rhs) < 1e-11 * abs(lhs)
+            ref = mp.besselk(nu, x)
+            scaled = specfun.bessel_k_scaled(nu, x)
+            assert abs(scaled - mp.exp(x) * ref) < 1e-11 * abs(scaled)
+            assert abs(specfun.bessel_k(nu, x) - ref) < 1e-11 * ref
 
     def test_scaled_survives_huge_argument(self):
         # unscaled K underflows near x ~ 740; the scaled form must not
