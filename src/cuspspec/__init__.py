@@ -10,7 +10,7 @@ sweeps), cli (command-line front end).
 __version__ = "0.1.0"
 
 from .cusp_model import CuspFamily, cusp_heat_kernel, relative_cusp_trace
-from .dtn_cusp import n2_symbol, n2_zero_symbol, splitting_det
+from .dtn_cusp import n2_symbol, n2_zero_symbol
 from .fuchsian import (
     GroupPresentation,
     LengthSpectrum,
@@ -19,11 +19,8 @@ from .fuchsian import (
     SurfaceData,
     builtin_group,
     enumerate_length_spectrum,
-    geodesic_length,
-    pinch_family,
 )
 from .trace_terms import (
-    EigenvalueList,
     ScatteringModel,
     hyperbolic_trace,
     identity_term,

@@ -77,7 +77,11 @@ def _parse_float(item):
 
 
 def _parse_floats(text):
-    return [_parse_float(x) for x in text.split(",") if x.strip()]
+    """Comma-separated numbers; a list with no item is refused."""
+    values = [_parse_float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise DomainError("empty list: %r" % text)
+    return values
 
 
 def _spectrum_args(args):
@@ -87,10 +91,14 @@ def _spectrum_args(args):
 
 
 def _cusp_family(args, group):
+    cusps = group.surface.cusps
     if args.cusp_starts:
         starts = _parse_floats(args.cusp_starts)
     else:
-        starts = [1.0] * group.surface.cusps
+        starts = [1.0] * cusps
+    if len(starts) != cusps:
+        raise DomainError("--cusp-starts needs %d heights (one per cusp), "
+                          "got %d" % (cusps, len(starts)))
     return cusp_model.CuspFamily(tuple(starts))
 
 
@@ -152,10 +160,11 @@ def cmd_det(args):
 
 
 def cmd_scatter_check(args):
+    ts = _parse_floats(args.t)
     with open(args.model) as fh:
         model = trace_terms.model_from_json(json.load(fh))
     rows = []
-    for t in _parse_floats(args.t):
+    for t in ts:
         a = trace_terms.scattering_integral(model, t)
         b = trace_terms.scattering_erfc_sum(model, t)
         rows.append((t, a, b, abs(a - b) / (1.0 + abs(b))))
@@ -165,8 +174,7 @@ def cmd_scatter_check(args):
                "quad_abs_tol: %s" % _fmt(quad.abs_tol),
                "quad_rel_tol: %s" % _fmt(quad.rel_tol)],
         ["t", "integral", "erfc_sum", "residual"], rows))
-    sys.stderr.write("max residual: %s\n" % _fmt(
-        max((r[3] for r in rows), default=0.0)))
+    sys.stderr.write("max residual: %s\n" % _fmt(max(r[3] for r in rows)))
     return EXIT_OK
 
 

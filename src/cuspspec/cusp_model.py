@@ -16,7 +16,7 @@ __all__ = ["CuspFamily", "cusp_heat_kernel", "relative_cusp_trace"]
 
 @dataclass(frozen=True)
 class CuspFamily:
-    """One Dirichlet cut height a_j >= 1 per cusp."""
+    """One finite Dirichlet cut height a_j >= 1 per cusp."""
 
     starts: tuple = field(default_factory=tuple)
 
@@ -25,8 +25,8 @@ class CuspFamily:
         object.__setattr__(self, "starts", starts)
         if not starts:
             raise DomainError("CuspFamily needs at least one cusp")
-        if any(a < 1.0 for a in starts):
-            raise DomainError("cusp start heights must be >= 1")
+        if not all(math.isfinite(a) and a >= 1.0 for a in starts):
+            raise DomainError("cusp start heights must be finite and >= 1")
 
     @property
     def log_sum(self):

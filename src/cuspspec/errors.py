@@ -22,16 +22,8 @@ class PoleError(PreconditionError):
     """Evaluation requested at (or too close to) a pole."""
 
 
-class NotHyperbolicError(PreconditionError):
-    """Matrix trace corresponds to a parabolic or elliptic element."""
-
-
 class UnknownGroupError(PreconditionError):
     """Unrecognized built-in group name."""
-
-
-class AlphaCollisionError(PreconditionError):
-    """Eigenvalue threshold alpha coincides with a listed eigenvalue."""
 
 
 class NumericsError(CuspSpecError):

@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceededError,
     DomainError,
-    NotHyperbolicError,
     UnknownGroupError,
 )
 
 __all__ = [
     "Mobius", "GroupPresentation", "SpectrumEntry", "LengthSpectrum",
-    "SurfaceData", "geodesic_length", "builtin_group",
-    "enumerate_length_spectrum", "pinch_family",
-    "spectrum_to_json", "spectrum_from_json", "MERGE_TOL", "NODE_BUDGET",
+    "SurfaceData", "builtin_group", "enumerate_length_spectrum",
+    "spectrum_to_json", "MERGE_TOL", "NODE_BUDGET",
 ]
 
 # enumerated lengths closer than this merge into one entry
@@ -118,7 +116,6 @@ class LengthSpectrum:
 
     def __post_init__(self):
         prev = -math.inf
-        prev_plain = -math.inf
         for e in self.entries:
             if e.length <= 0.0:
                 raise DomainError("spectrum lengths must be positive")
@@ -128,23 +125,9 @@ class LengthSpectrum:
                 raise DomainError("multiplicities must be >= 1")
             if e.length > self.cutoff + 1e-12:
                 raise DomainError("entry length exceeds cutoff")
-            if not e.pinched:
-                # merge tolerance applies to enumerated entries only;
-                # pinched entries may tie with anything
-                if e.length - prev_plain <= MERGE_TOL:
-                    raise DomainError(
-                        "duplicate entries within merge tolerance")
-                prev_plain = e.length
+            if e.length - prev <= MERGE_TOL:
+                raise DomainError("duplicate entries within merge tolerance")
             prev = e.length
-
-
-def geodesic_length(trace):
-    """Translation length 2 arccosh(|tr|/2) of a hyperbolic element."""
-    half = abs(trace) / 2.0
-    if half <= 1.0:
-        raise NotHyperbolicError(
-            "trace %r is not hyperbolic (|trace| <= 2)" % trace)
-    return 2.0 * math.acosh(half)
 
 
 _TORUS_RE = re.compile(r"^once-punctured-torus\(([^)]+)\)$")
@@ -274,25 +257,6 @@ def enumerate_length_spectrum(group, max_length, max_word_length=None):
                           word_radius=max_word_length)
 
 
-def pinch_family(base, pinch_indices, ell):
-    """Replace selected entries' lengths by ell and flag them pinched."""
-    if ell <= 0:
-        raise DomainError("pinch length must be positive")
-    idx = set(pinch_indices)
-    for i in idx:
-        if not 0 <= i < len(base.entries):
-            raise DomainError("pinch index %d out of range" % i)
-    new_entries = []
-    for i, e in enumerate(base.entries):
-        if i in idx:
-            new_entries.append(SpectrumEntry(float(ell), e.mult, True))
-        else:
-            new_entries.append(e)
-    new_entries.sort(key=lambda e: (e.length, e.pinched))
-    return LengthSpectrum(tuple(new_entries), base.cutoff, base.surface,
-                          word_radius=base.word_radius)
-
-
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
@@ -313,13 +277,3 @@ def spectrum_to_json(spec):
     if spec.word_radius is not None:
         obj["word_radius"] = spec.word_radius
     return obj
-
-
-def spectrum_from_json(obj):
-    surf = SurfaceData(**obj["surface"])
-    entries = tuple(
-        SpectrumEntry(float(e["length"]), int(e["mult"]), bool(e["pinched"]))
-        for e in obj["entries"]
-    )
-    return LengthSpectrum(entries, float(obj["cutoff"]), surf,
-                          word_radius=obj.get("word_radius"))

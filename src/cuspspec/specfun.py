@@ -2,9 +2,9 @@
 
 Everything here is self-contained on top of numpy: complex digamma
 (Stirling plus recurrence), the scaled complementary error function
-erfcx (Faddeeva rational approximation), modified Bessel K of real and
-complex order, and a deterministic adaptive Gauss-Kronrod integrator
-with a double-exponential substitution for infinite ranges.
+erfcx (Faddeeva rational approximation), modified Bessel K of real
+order, and a deterministic adaptive Gauss-Kronrod integrator with a
+double-exponential substitution for infinite ranges.
 
 All routines raise typed errors from :mod:`cuspspec.errors` instead of
 returning NaN.
@@ -31,7 +31,6 @@ __all__ = [
     "digamma",
     "erfcx",
     "bessel_k",
-    "bessel_k_complex_order",
     "BESSEL_K_CROSSOVER",
 ]
 
@@ -433,32 +432,3 @@ def bessel_k_scaled(nu, x):
             raise OverflowRangeError(
                 "scaled K recurrence overflow at nu=%g, x=%g" % (nu, x))
     return kmu
-
-
-# K of complex order is an integral on a finite range; its tolerances
-_COMPLEX_ORDER_SPEC = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
-
-
-def bessel_k_complex_order(nu, x):
-    """Scaled e^x K_nu(x) for complex order nu (|Im nu| <= 10), real x > 0.
-
-    Uses the integral representation int_0^inf e^{-x (cosh u - 1)}
-    cosh(nu u) du, truncated where the integrand falls below the double
-    underflow range.
-    """
-    nu = complex(nu)
-    if x <= 0.0:
-        raise DomainError("bessel_k_complex_order requires x > 0")
-    if abs(nu.imag) > 10.0:
-        raise DomainError("bessel_k_complex_order limited to |Im nu| <= 10")
-    if nu.real < 0:
-        nu = -nu  # K_{-nu} = K_nu
-    upper = 1.0
-    while (x * math.cosh(upper) - x - nu.real * upper < 745.0
-           and upper < 60.0):
-        upper += 0.5
-
-    def f(u):
-        return np.exp(-x * np.cosh(u) + x) * np.cosh(nu * u)
-
-    return integrate(f, 0.0, upper, spec=_COMPLEX_ORDER_SPEC).value

@@ -20,12 +20,11 @@ from .errors import DomainError, PoleError
 from .specfun import QuadratureSpec
 
 __all__ = [
-    "ScatteringModel", "EigenvalueList",
+    "ScatteringModel",
     "identity_term", "hyperbolic_trace",
     "parabolic_p", "parabolic_p_asymptotic", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
-    "relative_heat_trace", "spectral_relative_trace",
-    "model_to_json", "model_from_json",
+    "relative_heat_trace", "model_from_json",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -81,21 +80,6 @@ class ScatteringModel:
             raise DomainError(
                 "resonances must be closed under conjugation with "
                 "equal orders")
-
-
-@dataclass(frozen=True)
-class EigenvalueList:
-    """Discrete eigenvalues, sorted ascending, zeros allowed."""
-
-    values: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if any(v < 0 for v in vals):
-            raise DomainError("eigenvalues must be >= 0")
-        if list(vals) != sorted(vals):
-            raise DomainError("eigenvalues must be sorted ascending")
 
 
 # Every trace term takes t as a scalar or an array: a scalar returns a
@@ -162,7 +146,7 @@ def hyperbolic_trace(spectrum, t):
     mult * l / sinh(k l / 2) * e^{-(k l)^2 / 4t}.
 
     The k-sum is cut where the Gaussian factor at the largest t
-    certifies a relative tail below 1e-18; for pinched entries with
+    certifies a relative tail below 1e-18; for short geodesics with
     tiny l this pushes k far out, so terms are evaluated in the
     overflow-safe form 2 l e^{-k l/2} / (1 - e^{-k l}).  The weights
     mult * 2 l / (1 - e^{-k l}) of every (class, k) pair are contracted
@@ -376,44 +360,9 @@ def relative_heat_trace(surface, spectrum, cusp_starts, t):
     return _shaped(out, shape)
 
 
-def spectral_relative_trace(eigs, model, surface, cusp_starts, t):
-    """Spectral-side assembly (diagnostic, non-authoritative):
-
-    sum_j e^{-lambda_j t} + scattering_integral
-      + (1/4) e^{-t/4} (Tr C(1/2) + m) + e^{-t/4}/sqrt(4 pi t) sum log a_j.
-
-    Only meaningful when eigs and model genuinely describe the same
-    surface; this package treats both as synthetic inputs.
-    """
-    m = surface.cusps
-    tc = model.trace_c_half
-    if abs(tc - round(tc)) > 1e-9 or (round(tc) - m) % 2 != 0 or abs(tc) > m:
-        raise DomainError(
-            "Tr C(1/2) must be an integer of the same parity as the "
-            "cusp count with |value| <= m")
-    vals = np.asarray(eigs.values)
-    out = float(np.sum(np.exp(-vals * t)))
-    out += scattering_integral(model, t)
-    out += 0.25 * math.exp(-t / 4.0) * (tc + m)
-    out += math.exp(-t / 4.0) / math.sqrt(4.0 * math.pi * t) * cusp_starts.log_sum
-    return out
-
-
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
-
-def model_to_json(model):
-    return {
-        "q": model.q,
-        "phi_half": model.phi_half,
-        "trace_c_half": model.trace_c_half,
-        "resonances": [
-            {"re": rho.real, "im": rho.imag, "order": n}
-            for rho, n in model.resonances
-        ],
-    }
-
 
 def model_from_json(obj):
     res = tuple(

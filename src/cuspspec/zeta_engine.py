@@ -22,7 +22,6 @@ import numpy as np
 
 from . import trace_terms
 from .errors import (
-    AlphaCollisionError,
     DomainError,
     ExpansionMismatchError,
     OverflowRangeError,
@@ -40,8 +39,7 @@ from .trace_terms import (
 __all__ = [
     "ExpansionDescriptor", "ZetaResult", "RelativeDeterminantResult",
     "mellin_zeta_prime0", "xi_prime0", "relative_determinant",
-    "truncated_hyp_zeta_correction", "selberg_z_product",
-    "zeta_result_to_json", "zeta_result_from_json",
+    "zeta_result_to_json",
     "surface_expansion",
 ]
 
@@ -339,40 +337,6 @@ def relative_determinant(surface, spectrum, cusp_starts, t_max,
     return RelativeDeterminantResult(zeta=zeta, det_hyp=det_hyp)
 
 
-def truncated_hyp_zeta_correction(small_eigs, alpha):
-    """-sum of log(lambda) over listed eigenvalues 0 < lambda <= alpha."""
-    if not 0.0 < alpha < 0.25:
-        raise DomainError("alpha must lie in (0, 1/4)")
-    out = 0.0
-    for lam in small_eigs.values:
-        if lam <= 0.0:
-            raise DomainError("small eigenvalues must be positive")
-        if abs(lam - alpha) < 1e-12:
-            raise AlphaCollisionError(
-                "alpha coincides with eigenvalue %r" % lam)
-        if lam <= alpha:
-            out -= math.log(lam)
-    return out
-
-
-def selberg_z_product(spectrum, s):
-    """Z(s) = prod_gamma prod_{k>=0} (1 - e^{-(s+k) l})^mult for s > 1.
-
-    Diagnostic only; the k-product is truncated once the factors are
-    within machine distance of 1, with the dropped log-tail bounded by
-    the geometric series e^{-(s+K+1)l}/(1-e^{-l}).
-    """
-    if s <= 1.0:
-        raise DomainError("selberg_z_product requires s > 1")
-    log_z = 0.0
-    for e in spectrum.entries:
-        ell = e.length
-        k_max = max(0, int(math.ceil(42.0 / ell - s)))
-        k = np.arange(0, k_max + 1)
-        log_z += e.mult * float(np.sum(np.log1p(-np.exp(-(s + k) * ell))))
-    return math.exp(log_z)
-
-
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
@@ -384,9 +348,3 @@ def zeta_result_to_json(res):
         "small_t_error": res.small_t_error,
         "large_t_error": res.large_t_error,
     }
-
-
-def zeta_result_from_json(obj):
-    return ZetaResult(
-        float(obj["zeta_prime_zero"]), float(obj["determinant"]),
-        float(obj["small_t_error"]), float(obj["large_t_error"]))

@@ -9,7 +9,13 @@ import sys
 
 import pytest
 
-from cuspspec import fuchsian, zeta_engine
+from cuspspec import fuchsian
+
+
+# a two-resonance scattering model in the --model file format
+SCATTER_MODEL = {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
+                 "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
+                                {"re": -0.3, "im": -1.0, "order": 1}]}
 
 
 def run_cli(*argv):
@@ -46,8 +52,12 @@ class TestSpectrumCommand:
     def test_json_format_round_trips(self):
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
                       "--max-length", "6", "--format", "json")
-        spec = fuchsian.spectrum_from_json(json.loads(out.stdout))
-        assert abs(spec.entries[0].length - 2.0 * math.acosh(3.0)) < 1e-12
+        obj = json.loads(out.stdout)
+        assert abs(obj["entries"][0]["length"]
+                   - 2.0 * math.acosh(3.0)) < 1e-12
+        spec = fuchsian.enumerate_length_spectrum(
+            fuchsian.builtin_group("thrice-punctured-sphere"), 6.0)
+        assert obj == fuchsian.spectrum_to_json(spec)
 
     def test_deterministic_byte_identical(self):
         a = run_cli("spectrum", "--group", "thrice-punctured-sphere",
@@ -86,9 +96,8 @@ class TestDetCommand:
         assert out.returncode == 0
         obj = json.loads(out.stdout)
         assert obj["determinant"] > 0.0
-        res = zeta_engine.zeta_result_from_json(obj)
-        assert abs(res.determinant
-                   - math.exp(-res.zeta_prime_zero)) < 1e-10 * res.determinant
+        assert abs(obj["determinant"] - math.exp(-obj["zeta_prime_zero"])) \
+            < 1e-10 * obj["determinant"]
 
     def test_truncation_refused(self):
         out = run_cli("det", "--group", "thrice-punctured-sphere",
@@ -100,11 +109,8 @@ class TestDetCommand:
 
 class TestScatterCheckCommand:
     def test_residuals(self, tmp_path):
-        model = {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
-                 "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
-                                {"re": -0.3, "im": -1.0, "order": 1}]}
         p = tmp_path / "model.json"
-        p.write_text(json.dumps(model))
+        p.write_text(json.dumps(SCATTER_MODEL))
         out = run_cli("scatter-check", "--model", str(p),
                       "--t", "0.5,1,2")
         assert out.returncode == 0
@@ -236,9 +242,19 @@ class TestErrorChannel:
          "--cutoff", "6", "--ell-grid", "0.1,abc"],
         ["trace", "--group", "thrice-punctured-sphere", "--max-length", "6",
          "--t", "1,x"],
+        ["trace", "--group", "thrice-punctured-sphere", "--max-length", "6",
+         "--t", "1", "--cusp-starts", "nan,1,1"],
+        ["trace", "--group", "thrice-punctured-sphere", "--max-length", "6",
+         "--t", "1", "--cusp-starts", "2"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "2", "--cusp-starts", "1,1,inf"],
+        ["scatter-check", "--model", "{model}", "--t", ","],
     ])
-    def test_bad_input_refused(self, argv):
-        out = run_cli(*argv)
+    def test_bad_input_refused(self, argv, tmp_path):
+        # "{model}" stands for a valid --model file
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(SCATTER_MODEL))
+        out = run_cli(*(str(model) if a == "{model}" else a for a in argv))
         assert out.returncode == 2
         assert json.loads(out.stderr)["error"] == "DomainError"
         assert out.stdout == ""

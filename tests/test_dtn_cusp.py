@@ -1,15 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from cuspspec import dtn_cusp
-from cuspspec.dtn_cusp import (
-    SplitInputs,
-    n2_symbol,
-    n2_zero_symbol,
-    splitting_det,
-)
+from cuspspec.dtn_cusp import n2_symbol, n2_zero_symbol
 from cuspspec.errors import DomainError
 
 
@@ -50,21 +43,6 @@ class TestNonzeroModes:
     def test_negative_mode_symmetric(self):
         assert abs(n2_symbol(0.8, -2, 1.2) - n2_symbol(0.8, 2, 1.2)) < 1e-13
 
-    def test_complex_s_conjugate_symmetry(self):
-        s = 0.3 + 0.5j
-        a = n2_symbol(s, 1, 1.1)
-        b = n2_symbol(np.conj(s), 1, 1.1)
-        assert abs(a - np.conj(b)) < 1e-7 * abs(a)
-
-    def test_complex_s_matches_real_limit(self):
-        a = n2_symbol(0.8 + 1e-8j, 1, 1.2)
-        b = n2_symbol(0.8, 1, 1.2)
-        assert abs(a - b) < 1e-6 * abs(b)
-
-    def test_imaginary_part_range_limited(self):
-        with pytest.raises(DomainError):
-            n2_symbol(0.3 + 20.0j, 1, 1.5)
-
 
 class TestZeroMode:
     def test_two_branches(self):
@@ -74,29 +52,3 @@ class TestZeroMode:
     def test_critical_line_refused(self):
         with pytest.raises(DomainError):
             n2_symbol(0.5, 0, 1.5)
-
-    def test_complex_branches(self):
-        v = n2_symbol(2.0 + 1.0j, 0, 1.5)
-        assert abs(v - (1.0 + 1.0j)) < 1e-15
-
-
-class TestRecordsAndSplitting:
-    def test_splitting_multiplicative(self):
-        base = SplitInputs(det_compact=2.0, det_cusp_modes=3.0,
-                           detstar_R=5.0, area=4.0 * math.pi,
-                           boundary_length=2.0)
-        doubled = SplitInputs(det_compact=4.0, det_cusp_modes=3.0,
-                              detstar_R=5.0, area=4.0 * math.pi,
-                              boundary_length=2.0)
-        assert abs(splitting_det(doubled)
-                   - 2.0 * splitting_det(base)) < 1e-12
-
-    def test_splitting_value(self):
-        inp = SplitInputs(det_compact=1.5, det_cusp_modes=2.0,
-                          detstar_R=0.5, area=6.0, boundary_length=3.0)
-        assert abs(splitting_det(inp) - 3.0) < 1e-14
-
-    def test_splitting_validation(self):
-        with pytest.raises(DomainError):
-            SplitInputs(det_compact=-1.0, det_cusp_modes=1.0,
-                        detstar_R=1.0, area=1.0, boundary_length=1.0)

@@ -146,12 +146,6 @@ class TestBesselK:
         ref = math.sqrt(math.pi / 4000.0) * (1.0 + 1.0 / 2000.0)
         assert abs(val - ref) < 1e-12 * ref
 
-    def test_complex_order_matches_real(self):
-        for nu, x in ((0.8, 1.5), (1.4, 6.0)):
-            a = specfun.bessel_k_complex_order(complex(nu), x)
-            b = specfun.bessel_k_scaled(nu, x)
-            assert abs(a - b) < 1e-8 * abs(b)
-
     def test_nonpositive_argument_rejected(self):
         with pytest.raises(DomainError):
             specfun.bessel_k(0.5, 0.0)

@@ -7,23 +7,24 @@ import pytest
 from cuspspec import trace_terms
 from cuspspec.cusp_model import CuspFamily
 from cuspspec.errors import DomainError, PoleError
-from cuspspec.fuchsian import builtin_group, enumerate_length_spectrum
-from cuspspec.fuchsian import pinch_family
+from cuspspec.fuchsian import (
+    LengthSpectrum,
+    SpectrumEntry,
+    builtin_group,
+    enumerate_length_spectrum,
+)
 from cuspspec.trace_terms import (
-    EigenvalueList,
     ScatteringModel,
     cusp_term,
     hyperbolic_trace,
     identity_term,
     model_from_json,
-    model_to_json,
     parabolic_p,
     parabolic_p_asymptotic,
     phi_log_deriv,
     relative_heat_trace,
     scattering_erfc_sum,
     scattering_integral,
-    spectral_relative_trace,
 )
 
 
@@ -41,6 +42,13 @@ def _random_model(rng):
                     int(rng.integers(1, 3))))
     q = float(rng.uniform(0.5, 4.0))
     return ScatteringModel(tuple(res), q, 1.0, 1.0)
+
+
+def _shortened(spec, ell):
+    """spec with its shortest class replaced by a geodesic of length ell."""
+    first = spec.entries[0]
+    return LengthSpectrum((SpectrumEntry(ell, first.mult),) + spec.entries[1:],
+                          spec.cutoff, spec.surface)
 
 
 class TestScatteringModel:
@@ -67,7 +75,10 @@ class TestScatteringModel:
     def test_json_round_trip(self):
         m = ScatteringModel(((complex(-0.3, 1.0), 1),
                              (complex(-0.3, -1.0), 1)), 2.0, -1.0, 1.0)
-        assert model_from_json(model_to_json(m)) == m
+        obj = {"q": 2.0, "phi_half": -1.0, "trace_c_half": 1.0,
+               "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
+                              {"re": -0.3, "im": -1.0, "order": 1}]}
+        assert model_from_json(obj) == m
 
 
 class TestPhiLogDeriv:
@@ -174,7 +185,7 @@ class TestHyperbolicTrace:
 
     def test_tiny_length_no_overflow(self):
         g = builtin_group("thrice-punctured-sphere")
-        spec = pinch_family(enumerate_length_spectrum(g, 6.0, 6), [0], 1e-6)
+        spec = _shortened(enumerate_length_spectrum(g, 6.0, 6), 1e-6)
         v = hyperbolic_trace(spec, 0.5)
         assert math.isfinite(v) and v > 0.0
 
@@ -270,8 +281,8 @@ class TestArrayContract:
     def test_hyperbolic_trace_pinched(self):
         # l = 1e-6 needs 4.4e6 k-terms at t = 0.05, 6.6e7 (t, k) pairs
         # over the array: the (class, k) axis is processed in blocks
-        g, spec = _sphere()
-        spec = pinch_family(spec, [0], 1e-6)
+        _, spec = _sphere()
+        spec = _shortened(spec, 1e-6)
         ts = np.geomspace(0.005, 0.05, 15)
         _assert_array_matches_scalars(
             lambda t: hyperbolic_trace(spec, t), ts)
@@ -323,32 +334,3 @@ class TestRelativeHeatTrace:
         spec = enumerate_length_spectrum(g, 6.0, 6)
         with pytest.raises(DomainError):
             relative_heat_trace(g.surface, spec, CuspFamily((1.0,)), 1.0)
-
-    def test_spectral_side_parity_validation(self):
-        g = builtin_group("thrice-punctured-sphere")
-        eigs = EigenvalueList((0.5, 1.0))
-        model = ScatteringModel((), 2.0, 1.0, 2.0)  # parity mismatch, m=3
-        with pytest.raises(DomainError):
-            spectral_relative_trace(eigs, model, g.surface,
-                                    CuspFamily((1.0, 1.0, 1.0)), 1.0)
-
-    def test_spectral_side_assembles(self):
-        g = builtin_group("thrice-punctured-sphere")
-        eigs = EigenvalueList((0.5, 1.0))
-        model = ScatteringModel((), 2.0, 1.0, 1.0)
-        v = spectral_relative_trace(eigs, model, g.surface,
-                                    CuspFamily((1.0, 1.0, 1.0)), 1.0)
-        assert math.isfinite(v)
-
-
-class TestEigenvalueList:
-    def test_sorted_required(self):
-        with pytest.raises(DomainError):
-            EigenvalueList((2.0, 1.0))
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            EigenvalueList((-1.0,))
-
-    def test_zero_allowed(self):
-        EigenvalueList((0.0, 1.0))
