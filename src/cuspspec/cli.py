@@ -162,7 +162,11 @@ def cmd_det(args):
 def cmd_scatter_check(args):
     ts = _parse_floats(args.t)
     with open(args.model) as fh:
-        model = trace_terms.model_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise DomainError("--model is not JSON: %s" % exc) from None
+    model = trace_terms.model_from_json(obj)
     rows = []
     for t in ts:
         a = trace_terms.scattering_integral(model, t)

@@ -3,9 +3,13 @@
 Both built-in groups are free, so conjugacy classes of group elements
 are exactly cyclic words in the generators and their inverses, and an
 element is primitive iff its cyclic word is aperiodic.  Enumeration
-therefore walks Lyndon words (lexicographically minimal aperiodic
+therefore emits Lyndon words (lexicographically minimal aperiodic
 necklace representatives) with the free-reduction adjacency constraint,
-which visits every primitive conjugacy class exactly once.
+which visits every primitive conjugacy class exactly once.  The words of
+every length up to the word radius come from one depth-first walk of the
+constrained prenecklace tree (Cattell, Ruskey, Sawada, Serra, Miers,
+J. Algorithms 2000): each node's matrix is its parent's product times
+the new letter, one 2x2 multiply per node.
 
 Completeness is only guaranteed within the explored word ball; the
 output records the word radius so callers can reason about truncation.
@@ -29,7 +33,8 @@ __all__ = [
 
 # enumerated lengths closer than this merge into one entry
 MERGE_TOL = 1e-9
-# tree nodes the word enumeration may visit before it gives up
+# prenecklace tree nodes the one walk may visit, each counted once,
+# before it gives up
 NODE_BUDGET = 20_000_000
 
 
@@ -174,40 +179,6 @@ def _letters(group):
     return out
 
 
-def _lyndon_traces(num_letters, n, visit, budget):
-    """Constrained Lyndon-word DFS (Cattell-Ruskey-Sawada style).
-
-    Generates every aperiodic necklace of length n over ``num_letters``
-    letters in which no letter is followed (cyclically) by its inverse,
-    calling ``visit(word)`` once per word.  ``budget`` is a one-element
-    node counter decremented per tree node.
-    """
-    word = [0] * (n + 1)
-
-    def allowed(prev, nxt):
-        return (prev ^ 1) != nxt
-
-    def gen(t, p):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceededError("word enumeration budget exhausted")
-        if t > n:
-            if p == n and allowed(word[n], word[1]):
-                visit(word[1:n + 1])
-            return
-        forced = word[t - p]
-        if t == 1 or allowed(word[t - 1], forced):
-            word[t] = forced
-            gen(t + 1, p)
-        for j in range(forced + 1, num_letters):
-            if t > 1 and not allowed(word[t - 1], j):
-                continue
-            word[t] = j
-            gen(t + 1, t)
-
-    gen(1, 1)
-
-
 def enumerate_length_spectrum(group, max_length, max_word_length=None):
     """All primitive hyperbolic classes of length <= max_length whose
     cyclically reduced words fit in the explored radius.
@@ -223,26 +194,52 @@ def enumerate_length_spectrum(group, max_length, max_word_length=None):
         max_word_length = max(6, int(math.ceil(max_length)))
     if max_word_length < 1:
         raise DomainError("max_word_length must be >= 1")
-    letters = _letters(group)
-    mats = [(g.a, g.b, g.c, g.d) for g in letters]
+    mats = [(g.a, g.b, g.c, g.d) for g in _letters(group)]
+    word = [0] * (max_word_length + 1)
     lengths = []
-    budget = [NODE_BUDGET]
+    nodes = NODE_BUDGET
 
-    def visit(word):
-        a, b, c, d = mats[word[0]]
-        for idx in word[1:]:
-            e, f, g2, h = mats[idx]
-            a, b, c, d = (a * e + b * g2, a * f + b * h,
-                          c * e + d * g2, c * f + d * h)
-        half = abs(a + d) / 2.0
-        if half <= 1.0 + 1e-12:
-            return
-        ell = 2.0 * math.acosh(half)
-        if ell <= max_length:
-            lengths.append(ell)
+    def keep(trace):
+        # the length of a hyperbolic class of this trace, up to max_length
+        half = abs(trace) / 2.0
+        if half > 1.0 + 1e-12:
+            ell = 2.0 * math.acosh(half)
+            if ell <= max_length:
+                lengths.append(ell)
 
-    for n in range(1, max_word_length + 1):
-        _lyndon_traces(len(letters), n, visit, budget)
+    def walk(m, p, a, b, c, d):
+        # the children of the prefix word[1..m], which has period p and
+        # product [[a, b], [c, d]], and the subtrees below them
+        nonlocal nodes
+        back = word[m] ^ 1  # a letter may not follow its inverse
+        forced = word[m + 1 - p]
+        for j in range(forced, len(mats)):
+            if j == back:
+                continue
+            nodes -= 1
+            if nodes < 0:
+                raise BudgetExceededError("word enumeration budget exhausted")
+            word[m + 1] = j
+            e, f, g, h = mats[j]
+            a1, d1 = a * e + b * g, c * f + d * h
+            # a letter above the forced one makes the period m + 1, so the
+            # child is Lyndon; it is emitted unless its last letter cancels
+            # its first
+            if j != forced and (j ^ 1) != word[1]:
+                keep(a1 + d1)
+            if m + 1 < max_word_length:
+                walk(m + 1, p if j == forced else m + 1,
+                     a1, a * f + b * h, c * e + d * g, d1)
+
+    # the one-letter words are Lyndon, and each product is its own matrix
+    nodes -= len(mats)
+    if nodes < 0:
+        raise BudgetExceededError("word enumeration budget exhausted")
+    for j, mat in enumerate(mats):
+        word[1] = j
+        keep(mat[0] + mat[3])
+        if max_word_length > 1:
+            walk(1, 1, *mat)
 
     lengths.sort()
     entries = []

@@ -64,14 +64,16 @@ class ScatteringModel:
     def __post_init__(self):
         res = tuple((complex(r), int(n)) for r, n in self.resonances)
         object.__setattr__(self, "resonances", res)
-        if self.q <= 0.0:
-            raise DomainError("ScatteringModel.q must be positive")
+        if not (math.isfinite(self.q) and self.q > 0.0):
+            raise DomainError("ScatteringModel.q must be finite and positive")
         if self.phi_half not in (1.0, -1.0):
             raise DomainError("phi_half must be +1 or -1")
         bag = {}
         for rho, n in res:
             if n == 0:
                 raise DomainError("resonance orders must be nonzero")
+            if not (math.isfinite(rho.real) and math.isfinite(rho.imag)):
+                raise DomainError("resonances must be finite")
             if rho.real >= 0.5:
                 raise DomainError("resonances must satisfy Re rho < 1/2")
             key = (round(rho.real, 9), round(abs(rho.imag), 9))
@@ -306,8 +308,8 @@ def scattering_integral(model, t):
     For a conjugation-closed model the integrand's real part is even and
     its imaginary part odd, so twice the half-line real part suffices.
     """
-    if t <= 0.0:
-        raise DomainError("scattering_integral requires t > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError("scattering_integral requires finite t > 0")
     for rho, _ in model.resonances:
         if abs(rho.real - 0.5) < 1e-9:
             raise DomainError("resonance on the critical line")
@@ -332,8 +334,8 @@ def scattering_erfc_sum(model, t):
     differ by exactly t(1/2-rho)^2) and free of overflow for resonances
     far left of the critical line.
     """
-    if t <= 0.0:
-        raise DomainError("scattering_erfc_sum requires t > 0")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError("scattering_erfc_sum requires finite t > 0")
     rt = math.sqrt(t)
     damp = math.exp(-t / 4.0)
     out = -math.log(model.q) * damp / math.sqrt(16.0 * math.pi * t)
@@ -365,10 +367,16 @@ def relative_heat_trace(surface, spectrum, cusp_starts, t):
 # ----------------------------------------------------------------------
 
 def model_from_json(obj):
-    res = tuple(
-        (complex(r["re"], r["im"]), int(r["order"]))
-        for r in obj["resonances"]
-    )
-    return ScatteringModel(resonances=res, q=float(obj["q"]),
-                           phi_half=float(obj["phi_half"]),
-                           trace_c_half=float(obj["trace_c_half"]))
+    """ScatteringModel from a parsed --model file; a missing key, a
+    non-numeric field or a fractional order raises DomainError."""
+    try:
+        res = []
+        for r in obj["resonances"]:
+            if r["order"] != int(r["order"]):
+                raise ValueError("fractional order %r" % r["order"])
+            res.append((complex(r["re"], r["im"]), int(r["order"])))
+        fields = {k: float(obj[k]) for k in ("q", "phi_half", "trace_c_half")}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError("malformed scattering model: %s: %s"
+                          % (type(exc).__name__, exc)) from None
+    return ScatteringModel(resonances=res, **fields)

@@ -16,6 +16,11 @@ from cuspspec import fuchsian
 SCATTER_MODEL = {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
                  "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
                                 {"re": -0.3, "im": -1.0, "order": 1}]}
+# --model file contents behind the "{model...}" placeholders of
+# TestErrorChannel.test_bad_input_refused
+MODEL_FILES = {"{model}": json.dumps(SCATTER_MODEL),
+               "{model-missing-key}": json.dumps({"q": 2.0}),
+               "{model-not-json}": "not json"}
 
 
 def run_cli(*argv):
@@ -249,12 +254,20 @@ class TestErrorChannel:
         ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
          "--t-max", "2", "--cusp-starts", "1,1,inf"],
         ["scatter-check", "--model", "{model}", "--t", ","],
+        ["scatter-check", "--model", "{model}", "--t", "nan"],
+        ["scatter-check", "--model", "{model-missing-key}", "--t", "1"],
+        ["scatter-check", "--model", "{model-not-json}", "--t", "1"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
-        # "{model}" stands for a valid --model file
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(SCATTER_MODEL))
-        out = run_cli(*(str(model) if a == "{model}" else a for a in argv))
+        # a "{model...}" argument stands for a --model file holding
+        # MODEL_FILES[argument]
+        def arg(a):
+            if a not in MODEL_FILES:
+                return a
+            model = tmp_path / "model.json"
+            model.write_text(MODEL_FILES[a])
+            return str(model)
+        out = run_cli(*map(arg, argv))
         assert out.returncode == 2
         assert json.loads(out.stderr)["error"] == "DomainError"
         assert out.stdout == ""

@@ -80,6 +80,23 @@ class TestScatteringModel:
                               {"re": -0.3, "im": -1.0, "order": 1}]}
         assert model_from_json(obj) == m
 
+    @pytest.mark.parametrize("obj", [
+        {"q": 2.0},
+        {"q": "abc", "phi_half": 1.0, "trace_c_half": 1.0, "resonances": []},
+        {"q": math.nan, "phi_half": 1.0, "trace_c_half": 1.0,
+         "resonances": []},
+        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
+         "resonances": [{"re": math.nan, "im": 0.0, "order": 1}]},
+        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
+         "resonances": [{"re": -0.3, "im": 0.0, "order": 1.5}]},
+        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
+         "resonances": [{"re": -0.3, "im": 0.0, "order": math.inf}]},
+        [2.0],
+    ])
+    def test_malformed_json_refused(self, obj):
+        with pytest.raises(DomainError):
+            model_from_json(obj)
+
 
 class TestPhiLogDeriv:
     def test_real_on_real_axis(self):
@@ -119,6 +136,14 @@ class TestScatteringIdentity:
                              (complex(0.5 - 1e-12, -1.0), 1)), 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             scattering_integral(m, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    def test_non_finite_t_refused(self, t):
+        m = ScatteringModel((), 3.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            scattering_integral(m, t)
+        with pytest.raises(DomainError):
+            scattering_erfc_sum(m, t)
 
     def test_far_left_resonance_no_overflow(self):
         # e^{t(1/2-rho)^2} would overflow unscaled at rho.re = -60, t = 5
