@@ -258,7 +258,7 @@ def _selfcheck_cusp():
 
 def _selfcheck_scatter():
     model = trace_terms.ScatteringModel(
-        ((complex(-0.3, 1.0), 1), (complex(-0.3, -1.0), 1)), 2.0, 1.0, 1.0)
+        ((complex(-0.3, 1.0), 1), (complex(-0.3, -1.0), 1)), 2.0, 1.0)
     a = trace_terms.scattering_integral(model, 1.0)
     b = trace_terms.scattering_erfc_sum(model, 1.0)
     return abs(a - b) <= 1e-6 * (1.0 + abs(b))

@@ -59,7 +59,6 @@ class ScatteringModel:
     resonances: tuple = field(default_factory=tuple)
     q: float = 1.0
     phi_half: float = 1.0
-    trace_c_half: float = 0.0
 
     def __post_init__(self):
         res = tuple((complex(r), int(n)) for r, n in self.resonances)
@@ -368,14 +367,15 @@ def relative_heat_trace(surface, spectrum, cusp_starts, t):
 
 def model_from_json(obj):
     """ScatteringModel from a parsed --model file; a missing key, a
-    non-numeric field or a fractional order raises DomainError."""
+    non-numeric field or a fractional order raises DomainError.  Keys
+    other than q, phi_half and resonances are ignored."""
     try:
         res = []
         for r in obj["resonances"]:
             if r["order"] != int(r["order"]):
                 raise ValueError("fractional order %r" % r["order"])
             res.append((complex(r["re"], r["im"]), int(r["order"])))
-        fields = {k: float(obj[k]) for k in ("q", "phi_half", "trace_c_half")}
+        fields = {k: float(obj[k]) for k in ("q", "phi_half")}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError("malformed scattering model: %s: %s"
                           % (type(exc).__name__, exc)) from None

@@ -85,7 +85,7 @@ def test_criterion_3_scattering_identity():
             res.append((complex(re, im), order))
             res.append((complex(re, -im), order))
         model = trace_terms.ScatteringModel(
-            tuple(res), float(rng.uniform(0.5, 4.0)), 1.0, 0.0)
+            tuple(res), float(rng.uniform(0.5, 4.0)), 1.0)
         for t in (0.3, 1.0, 5.0):
             a = trace_terms.scattering_integral(model, t)
             b = trace_terms.scattering_erfc_sum(model, t)

@@ -272,6 +272,20 @@ class TestErrorChannel:
         assert json.loads(out.stderr)["error"] == "DomainError"
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "6", "--word-radius", "1200"],
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "6", "--word-radius", "100000000"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "2", "--word-radius", "5000"],
+    ])
+    def test_word_radius_past_budget_refused(self, argv):
+        out = run_cli(*argv)
+        assert out.returncode == 3
+        assert json.loads(out.stderr)["error"] == "BudgetExceededError"
+        assert out.stdout == ""
+
     def test_det_nan_t_max_refused(self):
         out = run_cli("det", "--group", "thrice-punctured-sphere",
                       "--cutoff", "6", "--t-max", "nan")

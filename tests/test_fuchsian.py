@@ -80,6 +80,62 @@ def _brute_force_lengths(group, max_length, radius):
     return lengths
 
 
+def _reference_walk(group, max_length, radius):
+    """Reference: the per-node recursive walk of the constrained
+    prenecklace tree that the blocked walk replaced.  Returns the merged
+    (length, mult) entries and the number of tree nodes visited."""
+    mats = [(g.a, g.b, g.c, g.d) for g in fuchsian._letters(group)]
+    word = [0] * (radius + 1)
+    lengths = []
+    nodes = 0
+
+    def keep(trace):
+        half = abs(trace) / 2.0
+        if half > 1.0 + 1e-12:
+            ell = 2.0 * math.acosh(half)
+            if ell <= max_length:
+                lengths.append(ell)
+
+    def walk(m, p, a, b, c, d):
+        nonlocal nodes
+        back = word[m] ^ 1
+        forced = word[m + 1 - p]
+        for j in range(forced, len(mats)):
+            if j == back:
+                continue
+            nodes += 1
+            word[m + 1] = j
+            e, f, g, h = mats[j]
+            a1, d1 = a * e + b * g, c * f + d * h
+            if j != forced and (j ^ 1) != word[1]:
+                keep(a1 + d1)
+            if m + 1 < radius:
+                walk(m + 1, p if j == forced else m + 1,
+                     a1, a * f + b * h, c * e + d * g, d1)
+
+    nodes += len(mats)
+    for j, mat in enumerate(mats):
+        word[1] = j
+        keep(mat[0] + mat[3])
+        if radius > 1:
+            walk(1, 1, *mat)
+
+    lengths.sort()
+    entries = []
+    i = 0
+    while i < len(lengths):
+        j = i
+        while j + 1 < len(lengths) and lengths[j + 1] - lengths[i] <= 1e-9:
+            j += 1
+        entries.append((lengths[i], j - i + 1))
+        i = j + 1
+    return entries, nodes
+
+
+GROUPS = ("thrice-punctured-sphere", "once-punctured-torus(3.0)",
+          "once-punctured-torus(3.47)")
+
+
 class TestMobius:
     def test_determinant_enforced(self):
         with pytest.raises(DomainError):
@@ -187,6 +243,43 @@ class TestEnumeration:
         monkeypatch.setattr(fuchsian, "NODE_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
             enumerate_length_spectrum(g, 6.0, 12)
+
+    @pytest.mark.parametrize("name", GROUPS)
+    @pytest.mark.parametrize("max_length", [10.0, 40.0])
+    def test_matches_reference_walk(self, name, max_length):
+        # the same doubles as the per-node walk, not just close ones
+        g = builtin_group(name)
+        spec = enumerate_length_spectrum(g, max_length, 10)
+        entries, _ = _reference_walk(g, max_length, 10)
+        assert [(e.length, e.mult) for e in spec.entries] == entries
+
+    @pytest.mark.parametrize("name", GROUPS[::2])
+    def test_budget_counts_every_node_once(self, name, monkeypatch):
+        g = builtin_group(name)
+        _, count = _reference_walk(g, 8.0, 8)
+        monkeypatch.setattr(fuchsian, "NODE_BUDGET", count)
+        enumerate_length_spectrum(g, 8.0, 8)
+        monkeypatch.setattr(fuchsian, "NODE_BUDGET", count - 1)
+        with pytest.raises(BudgetExceededError):
+            enumerate_length_spectrum(g, 8.0, 8)
+
+    @pytest.mark.parametrize("name", GROUPS[::2])
+    def test_node_lower_bound_holds(self, name):
+        g = builtin_group(name)
+        for radius in range(1, 11):
+            _, count = _reference_walk(g, 1.0, radius)
+            bound = fuchsian._fewest_nodes(4, radius, math.inf)
+            assert 3 ** radius / radius <= bound <= count
+
+    def test_huge_radius_refused_by_the_bound(self):
+        # refused before the walk, which at radius 20 would visit the
+        # whole budget of nodes before it failed
+        g = builtin_group("thrice-punctured-sphere")
+        budget = fuchsian.NODE_BUDGET
+        for radius in (20, 1200, 10 ** 8):
+            assert fuchsian._fewest_nodes(4, radius, budget) > budget
+            with pytest.raises(BudgetExceededError):
+                enumerate_length_spectrum(g, 6.0, radius)
 
     def test_argument_validation(self):
         g = builtin_group("thrice-punctured-sphere")

@@ -41,7 +41,7 @@ def _random_model(rng):
         res.append((complex(float(rng.uniform(-2.0, 0.4)), 0.0),
                     int(rng.integers(1, 3))))
     q = float(rng.uniform(0.5, 4.0))
-    return ScatteringModel(tuple(res), q, 1.0, 1.0)
+    return ScatteringModel(tuple(res), q, 1.0)
 
 
 def _shortened(spec, ell):
@@ -54,31 +54,33 @@ def _shortened(spec, ell):
 class TestScatteringModel:
     def test_conjugate_closure_enforced(self):
         with pytest.raises(DomainError):
-            ScatteringModel(((complex(-0.3, 1.0), 1),), 1.0, 1.0, 0.0)
+            ScatteringModel(((complex(-0.3, 1.0), 1),), 1.0, 1.0)
 
     def test_mismatched_orders_rejected(self):
         with pytest.raises(DomainError):
             ScatteringModel(((complex(-0.3, 1.0), 1),
-                             (complex(-0.3, -1.0), 2)), 1.0, 1.0, 0.0)
+                             (complex(-0.3, -1.0), 2)), 1.0, 1.0)
 
     def test_real_resonance_needs_no_partner(self):
-        ScatteringModel(((complex(-0.3, 0.0), 2),), 1.0, 1.0, 0.0)
+        ScatteringModel(((complex(-0.3, 0.0), 2),), 1.0, 1.0)
 
     def test_half_plane_enforced(self):
         with pytest.raises(DomainError):
-            ScatteringModel(((complex(0.6, 0.0), 1),), 1.0, 1.0, 0.0)
+            ScatteringModel(((complex(0.6, 0.0), 1),), 1.0, 1.0)
 
     def test_phi_half_sign(self):
         with pytest.raises(DomainError):
-            ScatteringModel((), 1.0, 0.5, 0.0)
+            ScatteringModel((), 1.0, 0.5)
 
     def test_json_round_trip(self):
         m = ScatteringModel(((complex(-0.3, 1.0), 1),
-                             (complex(-0.3, -1.0), 1)), 2.0, -1.0, 1.0)
-        obj = {"q": 2.0, "phi_half": -1.0, "trace_c_half": 1.0,
+                             (complex(-0.3, -1.0), 1)), 2.0, -1.0)
+        obj = {"q": 2.0, "phi_half": -1.0,
                "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
                               {"re": -0.3, "im": -1.0, "order": 1}]}
         assert model_from_json(obj) == m
+        # older model files carry an unread "trace_c_half"; still accepted
+        assert model_from_json(dict(obj, trace_c_half=1.0)) == m
 
     @pytest.mark.parametrize("obj", [
         {"q": 2.0},
@@ -106,7 +108,7 @@ class TestPhiLogDeriv:
         assert abs(v.imag) < 1e-12
 
     def test_pole_raises(self):
-        m = ScatteringModel(((complex(-0.3, 0.0), 1),), 1.0, 1.0, 0.0)
+        m = ScatteringModel(((complex(-0.3, 0.0), 1),), 1.0, 1.0)
         with pytest.raises(PoleError):
             phi_log_deriv(m, -0.3)
 
@@ -125,7 +127,7 @@ class TestScatteringIdentity:
 
     def test_pure_q_model(self):
         # with no resonances both sides reduce to the log q Gaussian
-        m = ScatteringModel((), 3.0, 1.0, 0.0)
+        m = ScatteringModel((), 3.0, 1.0)
         t = 0.7
         ref = -math.log(3.0) * math.exp(-t / 4.0) / math.sqrt(16.0 * math.pi * t)
         assert abs(scattering_erfc_sum(m, t) - ref) < 1e-15
@@ -133,13 +135,13 @@ class TestScatteringIdentity:
 
     def test_critical_line_resonance_refused(self):
         m = ScatteringModel(((complex(0.5 - 1e-12, 1.0), 1),
-                             (complex(0.5 - 1e-12, -1.0), 1)), 1.0, 1.0, 0.0)
+                             (complex(0.5 - 1e-12, -1.0), 1)), 1.0, 1.0)
         with pytest.raises(DomainError):
             scattering_integral(m, 1.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
     def test_non_finite_t_refused(self, t):
-        m = ScatteringModel((), 3.0, 1.0, 0.0)
+        m = ScatteringModel((), 3.0, 1.0)
         with pytest.raises(DomainError):
             scattering_integral(m, t)
         with pytest.raises(DomainError):
@@ -147,7 +149,7 @@ class TestScatteringIdentity:
 
     def test_far_left_resonance_no_overflow(self):
         # e^{t(1/2-rho)^2} would overflow unscaled at rho.re = -60, t = 5
-        m = ScatteringModel(((complex(-60.0, 0.0), 1),), 1.0, 1.0, 0.0)
+        m = ScatteringModel(((complex(-60.0, 0.0), 1),), 1.0, 1.0)
         v = scattering_erfc_sum(m, 5.0)
         assert math.isfinite(v)
 
