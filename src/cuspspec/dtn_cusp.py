@@ -16,7 +16,9 @@ __all__ = ["n2_symbol", "n2_zero_symbol"]
 
 def n2_zero_symbol(n, beta):
     """Mode-n eigenvalue 2 pi |n| beta^2 of the model operator beta*sqrt(Laplacian)
-    on the circle of circumference 1/beta."""
+    on the circle of circumference 1/beta; n must be an integer."""
+    if not float(n).is_integer():
+        raise DomainError("Fourier mode n must be an integer, got %r" % (n,))
     if beta < 1.0:
         raise DomainError("n2_zero_symbol requires beta >= 1")
     return 2.0 * math.pi * abs(n) * beta * beta
@@ -40,7 +42,7 @@ def n2_symbol(s, n, beta):
     x = 2 pi |n| beta^2.  For n = 0 the harmonic extension is an explicit
     power of y and the multiplier is s-1 for s > 1/2, -s for s < 1/2;
     at s = 1/2 the zero mode has no decaying extension and the call is
-    refused.
+    refused.  A non-integer n is refused by n2_zero_symbol.
     """
     if beta < 1.0:
         raise DomainError("n2_symbol requires beta >= 1")

@@ -2,9 +2,10 @@
 
 Everything here is self-contained on top of numpy: complex digamma
 (Stirling plus recurrence), the scaled complementary error function
-erfcx (Faddeeva rational approximation), modified Bessel K of real
-order, and a deterministic adaptive Gauss-Kronrod integrator with a
-double-exponential substitution for infinite ranges.
+erfcx on the right half-plane (Faddeeva rational approximation), the
+scaled modified Bessel K of real order for x >= 2 (Steed's continued
+fraction), and a deterministic adaptive Gauss-Kronrod integrator from a
+finite lower limit, with a double-exponential substitution for [a, inf).
 
 All routines raise typed errors from :mod:`cuspspec.errors` instead of
 returning NaN.
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    OverflowRangeError,
-    PoleError,
-    QuadratureError,
-)
+from .errors import DomainError, PoleError, QuadratureError
 
 __all__ = [
     "QuadratureSpec",
@@ -30,11 +26,8 @@ __all__ = [
     "kronrod_grid",
     "digamma",
     "erfcx",
-    "bessel_k",
-    "BESSEL_K_CROSSOVER",
+    "bessel_k_scaled",
 ]
-
-_EULER_GAMMA = 0.5772156649015329
 
 # ----------------------------------------------------------------------
 # adaptive Gauss-Kronrod quadrature
@@ -81,19 +74,18 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex
+    value: float
     error: float
 
 
 def _gk15(g, a, b):
-    """One Gauss-Kronrod panel on [a, b]; returns (integral, error, resabs)."""
+    """One Gauss-Kronrod panel on [a, b]; returns (integral, error)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid + half * _NODES
     fx = np.asarray(g(x))
     ik = half * np.sum(_WK_FULL * fx)
     ig = half * np.sum(_WG_FULL * fx)
-    resabs = abs(half) * float(np.sum(_WK_FULL * np.abs(fx)))
     # QUADPACK-style error rescaling based on deviation from the mean
     mean = ik / (b - a)
     resasc = abs(half) * float(np.sum(_WK_FULL * np.abs(fx - mean)))
@@ -102,7 +94,7 @@ def _gk15(g, a, b):
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
     else:
         err = diff
-    return ik, err, resabs
+    return ik, err
 
 
 def _wrap_integrand(f):
@@ -131,26 +123,13 @@ def kronrod_grid(edges):
 
 
 def _transformed(f, a, b):
-    """Map f on (a, b) to an integrand on a finite interval in u.
+    """Map f on (a, b), a finite, to an integrand on a finite interval.
 
-    Infinite ranges go through a double-exponential substitution
-    truncated at |u| = 4.
+    A finite range is kept; [a, inf) goes through a double-exponential
+    substitution truncated at |u| = 4.
     """
-    a_inf = math.isinf(a)
-    b_inf = math.isinf(b)
-    if not a_inf and not b_inf:
+    if not math.isinf(b):
         return f, a, b
-
-    if a_inf and b_inf:
-        # x = sinh(2 sinh u); truncation at |u|=4 reaches |x| ~ 2.6e23
-        def g(u):
-            sh = 2.0 * np.sinh(u)
-            return f(np.sinh(sh)) * 2.0 * np.cosh(u) * np.cosh(sh)
-        return g, -4.0, 4.0
-
-    if a_inf:
-        # reflect (-inf, b) to (-b, inf)
-        return _transformed(lambda x: f(-x), -b, math.inf)
 
     # x = a + exp(2 sinh u); |u|<=4 spans x-a in [2e-24, 5e23]
     def g(u):
@@ -160,9 +139,9 @@ def _transformed(f, a, b):
 
 
 def integrate(f, a, b, spec=None):
-    """Adaptive Gauss-Kronrod integral of f over (a, b).
+    """Adaptive Gauss-Kronrod integral of a real f over (a, b).
 
-    Endpoints may be +-inf; infinite ranges go through a
+    a must be finite and a <= b; b may be +inf, which goes through a
     double-exponential substitution.  Returns a
     :class:`QuadratureResult`; raises :class:`QuadratureError`
     (carrying the best estimate) if the tolerance cannot be met within
@@ -170,34 +149,34 @@ def integrate(f, a, b, spec=None):
     """
     if spec is None:
         spec = QuadratureSpec()
+    if not (math.isfinite(a) and a <= b):
+        raise DomainError("integrate requires a finite a <= b, got "
+                          "(%r, %r)" % (a, b))
     if a == b:
         return QuadratureResult(0.0, 0.0)
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
     g, lo, hi = _transformed(_wrap_integrand(f), a, b)
 
-    val, err, _ = _gk15(g, lo, hi)
+    val, err = _gk15(g, lo, hi)
     heap = [(-err, lo, hi, val, err)]
     total = val
     total_err = err
     for _ in range(spec.max_subdivisions):
         if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return QuadratureResult(sign * total, total_err)
+            return QuadratureResult(total, total_err)
         neg_err, ia, ib, ival, ierr = heapq.heappop(heap)
         im = 0.5 * (ia + ib)
-        v1, e1, _ = _gk15(g, ia, im)
-        v2, e2, _ = _gk15(g, im, ib)
+        v1, e1 = _gk15(g, ia, im)
+        v2, e2 = _gk15(g, im, ib)
         total += (v1 + v2) - ival
         total_err += (e1 + e2) - ierr
         heapq.heappush(heap, (-e1, ia, im, v1, e1))
         heapq.heappush(heap, (-e2, im, ib, v2, e2))
     if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-        return QuadratureResult(sign * total, total_err)
+        return QuadratureResult(total, total_err)
     raise QuadratureError(
         "adaptive quadrature did not converge within %d subdivisions "
         "(achieved %.3e)" % (spec.max_subdivisions, total_err),
-        estimate=sign * total,
+        estimate=total,
         achieved=total_err,
     )
 
@@ -288,22 +267,18 @@ def _faddeeva_upper(z):
 
 
 def erfcx(z):
-    """Scaled complementary error function e^{z^2} erfc(z), complex z.
+    """Scaled complementary error function e^{z^2} erfc(z) for Re z >= 0.
 
     Scalars in, complex scalar out; arrays in, complex arrays of the same
-    shape out.  The reflection to Re z < 0 multiplies by e^{z^2}, which
-    is refused (typed overflow error) once it exceeds the double range.
+    shape out.  Every caller stays on the right half-plane (n sqrt(t) in
+    P(t), sqrt(t)(1/2 - rho) with Re rho < 1/2 in the scattering sum),
+    so Re z < 0 is refused.
     """
     z_in = np.asarray(z, dtype=complex)
-    left = z_in.real < 0
-    zz = np.where(left, z_in * z_in, 0.0)
-    if np.any(zz.real > 705.0):
-        raise OverflowRangeError(
-            "erfcx reflection overflows for z = %s"
-            % z_in[zz.real > 705.0].flat[0])
+    if not np.all(z_in.real >= 0):
+        raise DomainError("erfcx requires Re z >= 0")
     # erfcx(z) = w(iz) with Im(iz) >= 0 on the right half-plane
-    w = _faddeeva_upper(np.where(left, -1j * z_in, 1j * z_in))
-    out = np.where(left, 2.0 * np.exp(zz) - w, w)
+    out = _faddeeva_upper(1j * z_in)
     return complex(out) if z_in.ndim == 0 else out
 
 
@@ -311,60 +286,12 @@ def erfcx(z):
 # modified Bessel function of the second kind
 # ----------------------------------------------------------------------
 
-# Switch between the Temme small-x series and the Steed continued
-# fraction; chosen by measuring both against the integral-representation
-# oracle (the series loses digits above ~2, the CF below ~2).
-BESSEL_K_CROSSOVER = 2.0
-
 _BESSEL_EPS = 1e-16
 _BESSEL_MAXIT = 10000
 
 
-def _temme_pair(mu, x):
-    """(K_mu, K_{mu+1}) for |mu| <= 1/2, 0 < x <= crossover (Temme series)."""
-    x1 = 0.5 * x
-    pimu = math.pi * mu
-    fact = pimu / math.sin(pimu) if abs(pimu) > 1e-15 else 1.0
-    d = -math.log(x1)
-    e = mu * d
-    fact2 = math.sinh(e) / e if abs(e) > 1e-15 else 1.0
-    if abs(mu) > 1e-5:
-        rg_plus = 1.0 / math.gamma(1.0 + mu)
-        rg_minus = 1.0 / math.gamma(1.0 - mu)
-        gam1 = (rg_minus - rg_plus) / (2.0 * mu)
-        gam2 = (rg_minus + rg_plus) / 2.0
-    else:
-        # Taylor series of 1/Gamma(1 +- mu) around mu = 0
-        g = _EULER_GAMMA
-        a2 = g * g / 2.0 - math.pi ** 2 / 12.0
-        a3 = g ** 3 / 6.0 - g * math.pi ** 2 / 12.0 + 1.2020569031595943 / 3.0
-        gam1 = -(g + a3 * mu * mu)
-        gam2 = 1.0 + a2 * mu * mu
-    gampl = gam2 - mu * gam1  # 1/Gamma(1+mu)
-    gammi = gam2 + mu * gam1  # 1/Gamma(1-mu)
-    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
-    total = ff
-    e2 = math.exp(e)
-    p = 0.5 * e2 / gampl
-    q = 0.5 / (e2 * gammi)
-    c = 1.0
-    d2 = x1 * x1
-    total1 = p
-    for i in range(1, _BESSEL_MAXIT):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c *= d2 / i
-        p /= (i - mu)
-        q /= (i + mu)
-        delta = c * ff
-        total += delta
-        total1 += c * (p - i * ff)
-        if abs(delta) < abs(total) * _BESSEL_EPS:
-            return total, total1 * 2.0 / x
-    raise QuadratureError("Temme series for K failed to converge")
-
-
 def _steed_pair(mu, x):
-    """e^x (K_mu, K_{mu+1}) for |mu| <= 1/2, x > crossover (Steed CF2)."""
+    """e^x (K_mu, K_{mu+1}) for |mu| <= 1/2, x >= 2 (Steed CF2)."""
     a1 = 0.25 - mu * mu
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
@@ -395,40 +322,23 @@ def _steed_pair(mu, x):
     return kmu, k1
 
 
-def bessel_k(nu, x):
-    """Modified Bessel function K_nu(x), real order nu in [0, 50], x in (0, 700)."""
-    if x <= 0.0:
-        raise DomainError("bessel_k requires x > 0")
-    if x >= 700.0:
-        raise DomainError("bessel_k limited to x < 700")
-    if nu < 0.0 or nu > 50.0:
-        raise DomainError("bessel_k limited to 0 <= nu <= 50")
-    # refuse where the result would overflow: K_nu ~ Gamma(nu)/2 (2/x)^nu
-    if nu > 1.0:
-        log_est = math.lgamma(nu) - math.log(2.0) + nu * math.log(2.0 / x)
-        if log_est > 705.0:
-            raise OverflowRangeError(
-                "K_%g(%g) exceeds the double range" % (nu, x))
-    return math.exp(-x) * bessel_k_scaled(nu, x)
-
-
 def bessel_k_scaled(nu, x):
-    """e^x K_nu(x) for real order; usable far beyond the e^{-x} underflow."""
-    if x <= 0.0:
-        raise DomainError("bessel_k_scaled requires x > 0")
-    if nu < 0.0 or nu > 50.0:
+    """e^x K_nu(x) for real order 0 <= nu <= 50 and finite x >= 2.
+
+    Steed's continued fraction gives K_mu and K_{mu+1}, |mu| <= 1/2,
+    and the upward recurrence reaches nu.  CF2 loses digits below
+    x = 2; the only caller, the cusp DtN symbol, has x = 2 pi |n| beta^2
+    >= 2 pi.  On this domain every recurrence value, up to
+    e^2 K_51(2) ~ 1.1e65, is far inside the double range.
+    """
+    if not 2.0 <= x < math.inf:
+        raise DomainError("bessel_k_scaled requires finite x >= 2, "
+                          "got %r" % (x,))
+    if not 0.0 <= nu <= 50.0:
         raise DomainError("bessel_k_scaled limited to 0 <= nu <= 50")
     n = int(nu + 0.5)
     mu = nu - n  # mu in [-1/2, 1/2]
-    if x <= BESSEL_K_CROSSOVER:
-        kmu, kmu1 = _temme_pair(mu, x)
-        scale = math.exp(x)
-        kmu, kmu1 = kmu * scale, kmu1 * scale
-    else:
-        kmu, kmu1 = _steed_pair(mu, x)
+    kmu, kmu1 = _steed_pair(mu, x)
     for j in range(n):
         kmu, kmu1 = kmu1, kmu + 2.0 * (mu + j + 1.0) / x * kmu1
-        if kmu1 > 1e300:
-            raise OverflowRangeError(
-                "scaled K recurrence overflow at nu=%g, x=%g" % (nu, x))
     return kmu

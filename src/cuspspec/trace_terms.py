@@ -317,7 +317,7 @@ def scattering_integral(model, t):
         return (np.exp(-(0.25 + lam * lam) * t)
                 * np.real(phi_log_deriv(model, 0.5 + 1j * lam)))
 
-    half = specfun.integrate(f, 0.0, np.inf, spec=SCATTERING_SPEC).value.real
+    half = specfun.integrate(f, 0.0, np.inf, spec=SCATTERING_SPEC).value
     return -1.0 / (4.0 * math.pi) * 2.0 * half
 
 

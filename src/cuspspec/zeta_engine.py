@@ -155,7 +155,7 @@ def _tail_estimate(theta, h, t_max, min_decay):
     c = math.copysign(math.exp(intercept), ys[0])
     # int_{t_max}^inf e^{-mu t}/t dt, computed by quadrature
     e1 = integrate(lambda u: np.exp(-mu * u) / u, t_max, np.inf,
-                   spec=_TAIL_SPEC).value.real
+                   spec=_TAIL_SPEC).value
     tail = c * e1
     return tail, abs(tail) * max(resid, 0.05)
 
@@ -228,7 +228,7 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
 
     tail, tail_err = _tail_estimate(theta, h, t_max, min_decay)
 
-    zp = analytic + small.value.real + mid.value.real + tail
+    zp = analytic + small.value + mid.value + tail
     return ZetaResult.from_zeta_prime(zp, small_err,
                                       mid.error + tail_err)
 

@@ -4,11 +4,13 @@ import importlib.util
 import json
 import math
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import cuspspec
 from cuspspec import fuchsian
 
 
@@ -161,7 +163,15 @@ class TestSelfcheck:
     def test_passes(self):
         out = run_cli("selfcheck")
         assert out.returncode == 0
-        assert "FAIL" not in out.stdout
+        assert [ln.rsplit(None, 1) for ln in out.stdout.splitlines()] == [
+            [name, "pass"] for name in (
+                "quadrature: gaussian integral",
+                "bessel K half-integer closed form",
+                "cusp trace quadrature oracle",
+                "dtn symbol limit at s=1",
+                "scattering identity",
+                "zeta engine two-eigenvalue oracle",
+                "wolpert asymptotic agreement")]
 
 
 class TestConfigAndEnvironment:
@@ -257,6 +267,15 @@ class TestErrorChannel:
         ["scatter-check", "--model", "{model}", "--t", "nan"],
         ["scatter-check", "--model", "{model-missing-key}", "--t", "1"],
         ["scatter-check", "--model", "{model-not-json}", "--t", "1"],
+        # values argparse itself refuses
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "6", "--word-radius", "abc"],
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "6", "--word-radius", "1e3"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "abc"],
+        ["spectrum", "--max-length", "6"],
+        ["no-such-command"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{model...}" argument stands for a --model file holding
@@ -292,6 +311,12 @@ class TestErrorChannel:
         assert out.returncode == 2
         assert json.loads(out.stderr)["error"] == "DomainError"
 
+    def test_help_is_not_an_error(self):
+        out = run_cli("--help")
+        assert out.returncode == 0
+        assert out.stdout.startswith("usage: cuspspec")
+        assert out.stderr == ""
+
     def test_output_path_failure(self):
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
                       "--max-length", "5", "--out", "/nonexistent/dir/x.csv")
@@ -308,3 +333,11 @@ def test_bench_layer_names_resolve():
     for module, name in shim.LAYERS:
         mod = importlib.import_module("cuspspec." + module)
         assert callable(getattr(mod, name))
+
+
+@pytest.mark.parametrize("module", ["cuspspec"] + [
+    "cuspspec." + m.name for m in pkgutil.iter_modules(cuspspec.__path__)])
+def test_star_import_resolves(module):
+    """Every name in a module's __all__ (and every name the package
+    imports) must exist; a stale entry makes "import *" fail."""
+    exec("from %s import *" % module, {})

@@ -40,6 +40,14 @@ class TestNonzeroModes:
         assert math.isfinite(val)
         assert abs(val - n2_zero_symbol(3, 3.0)) < 1.0
 
+    @pytest.mark.parametrize("n", [0.5, -1.5, math.nan, math.inf])
+    def test_non_integer_mode_refused(self, n):
+        # a Fourier mode of the separating circle is an integer
+        with pytest.raises(DomainError):
+            n2_symbol(0.8, n, 1.2)
+        with pytest.raises(DomainError):
+            n2_zero_symbol(n, 1.2)
+
     def test_negative_mode_symmetric(self):
         assert abs(n2_symbol(0.8, -2, 1.2) - n2_symbol(0.8, 2, 1.2)) < 1e-13
 

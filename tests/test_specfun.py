@@ -5,25 +5,25 @@ import numpy as np
 import pytest
 
 from cuspspec import specfun
-from cuspspec.errors import (
-    DomainError,
-    OverflowRangeError,
-    PoleError,
-    QuadratureError,
-)
+from cuspspec.errors import DomainError, PoleError, QuadratureError
 from cuspspec.specfun import QuadratureSpec
+
+# Bessel K arguments: the lower end of the supported range, the
+# smallest argument of the cusp DtN symbol (2 pi), and far beyond the
+# e^{-x} underflow of the unscaled function
+BESSEL_XS = (2.0, 2.0 * math.pi, 5.0, 12.0, 2000.0)
 
 
 class TestIntegrate:
-    def test_gaussian_whole_line(self):
-        res = specfun.integrate(lambda x: np.exp(-x * x), -np.inf, np.inf)
-        assert abs(res.value - math.sqrt(math.pi)) < 1e-12
+    def test_gaussian_half_line(self):
+        res = specfun.integrate(lambda x: np.exp(-x * x), 0.0, np.inf)
+        assert abs(res.value - math.sqrt(math.pi) / 2.0) < 1e-12
         assert res.error < 1e-8
 
-    def test_lorentzian_whole_line(self):
+    def test_lorentzian_half_line(self):
         res = specfun.integrate(lambda x: 1.0 / (1.0 + x * x),
-                                -np.inf, np.inf)
-        assert abs(res.value - math.pi) < 1e-10
+                                0.0, np.inf)
+        assert abs(res.value - math.pi / 2.0) < 1e-10
 
     def test_half_line_exponential(self):
         res = specfun.integrate(lambda x: np.exp(-3.0 * x), 0.0, np.inf)
@@ -54,6 +54,13 @@ class TestIntegrate:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
+
+    @pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (2.0, 1.0),
+                                      (0.0, np.nan)])
+    def test_bad_limits_refused(self, a, b):
+        # the lower limit is finite and no larger than the upper one
+        with pytest.raises(DomainError):
+            specfun.integrate(lambda x: np.exp(-x * x), a, b)
 
     def test_scalar_valued_integrand_rejected(self):
         # integrands are called once per panel on all 15 nodes and must
@@ -103,8 +110,8 @@ class TestErfc:
         assert abs(val * x * math.sqrt(math.pi) - 1.0) < 1e-6
 
     def test_erfcx_array_matches_scalar(self):
-        z = np.array([[0.1, 2.0 + 1.0j, -0.5 + 0.3j],
-                      [12.0, 1e3, -3.0 - 2.0j]])
+        z = np.array([[0.0, 0.1, 2.0 + 1.0j, 0.5 + 0.3j],
+                      [12.0, 1e3, 3.0 - 2.0j, 2.0j]])
         out = specfun.erfcx(z)
         assert out.shape == z.shape
         for zi, oi in zip(z.ravel(), out.ravel()):
@@ -112,33 +119,38 @@ class TestErfc:
             assert isinstance(ref, complex)
             assert abs(oi - ref) <= 1e-15 * abs(ref)
 
-    def test_erfcx_reflection_overflow_refused(self):
-        with pytest.raises(OverflowRangeError):
-            specfun.erfcx(np.array([1.0, -30.0]))
+    @pytest.mark.parametrize("z", [-0.5, np.array([1.0, -30.0]), np.nan])
+    def test_erfcx_left_half_plane_refused(self, z):
+        with pytest.raises(DomainError):
+            specfun.erfcx(z)
 
 
 class TestBesselK:
     def test_half_integer_closed_forms(self):
-        for x in (0.3, 1.0, 5.0):
-            pref = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-            assert abs(specfun.bessel_k(0.5, x) - pref) < 1e-12 * pref
+        for x in BESSEL_XS:
+            pref = math.sqrt(math.pi / (2.0 * x))
+            val = specfun.bessel_k_scaled(0.5, x)
+            assert abs(val - pref) < 1e-12 * pref
             ref32 = pref * (1.0 + 1.0 / x)
-            assert abs(specfun.bessel_k(1.5, x) - ref32) < 1e-12 * ref32
+            val32 = specfun.bessel_k_scaled(1.5, x)
+            assert abs(val32 - ref32) < 1e-12 * ref32
 
     def test_recurrence(self):
-        # K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x)
-        for nu, x in ((1.3, 0.5), (1.7, 3.0), (1.2, 12.0)):
-            lhs = specfun.bessel_k(nu + 1.0, x)
-            rhs = (specfun.bessel_k(nu - 1.0, x)
-                   + 2.0 * nu / x * specfun.bessel_k(nu, x))
-            assert abs(lhs - rhs) < 1e-11 * abs(lhs)
+        # K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x); the scaling
+        # e^x is common to all three terms
+        for nu in (1.3, 1.7, 1.2):
+            for x in BESSEL_XS:
+                lhs = specfun.bessel_k_scaled(nu + 1.0, x)
+                rhs = (specfun.bessel_k_scaled(nu - 1.0, x)
+                       + 2.0 * nu / x * specfun.bessel_k_scaled(nu, x))
+                assert abs(lhs - rhs) < 1e-11 * abs(lhs)
 
     def test_scaled_consistency(self):
-        for nu, x in ((0.5, 1.0), (1.2, 8.0)):
-            ref = mp.besselk(nu, x)
-            scaled = specfun.bessel_k_scaled(nu, x)
-            assert abs(scaled - mp.exp(x) * ref) < 1e-11 * abs(scaled)
-            assert abs(specfun.bessel_k(nu, x) - ref) < 1e-11 * ref
+        for nu in (0.0, 0.5, 1.2, 7.3):
+            for x in BESSEL_XS:
+                ref = mp.exp(x) * mp.besselk(nu, x)
+                scaled = specfun.bessel_k_scaled(nu, x)
+                assert abs(scaled - ref) < 1e-11 * abs(scaled)
 
     def test_scaled_survives_huge_argument(self):
         # unscaled K underflows near x ~ 740; the scaled form must not
@@ -148,6 +160,12 @@ class TestBesselK:
 
     def test_nonpositive_argument_rejected(self):
         with pytest.raises(DomainError):
-            specfun.bessel_k(0.5, 0.0)
+            specfun.bessel_k_scaled(0.5, 0.0)
         with pytest.raises(DomainError):
-            specfun.bessel_k(0.5, -1.0)
+            specfun.bessel_k_scaled(0.5, -1.0)
+
+    @pytest.mark.parametrize("x", [1.9, math.nan, math.inf])
+    def test_outside_continued_fraction_range_refused(self, x):
+        # Steed's continued fraction loses digits below x = 2
+        with pytest.raises(DomainError):
+            specfun.bessel_k_scaled(0.5, x)
