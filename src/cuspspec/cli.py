@@ -29,7 +29,8 @@ EXIT_IO = 4
 # exit code of each error family; every one is reported as a JSON object
 EXIT_CODES = {PreconditionError: EXIT_PRECONDITION,
               NumericsError: EXIT_NUMERIC,
-              OSError: EXIT_IO}
+              OSError: EXIT_IO,
+              json.JSONDecodeError: EXIT_IO}
 
 
 def _fmt(x):
@@ -85,9 +86,14 @@ def _parse_floats(text):
 
 
 def _spectrum_args(args):
+    """The group, its length spectrum and the provenance lines that name
+    them."""
     group = fuchsian.builtin_group(args.group)
-    return group, fuchsian.enumerate_length_spectrum(
+    spec = fuchsian.enumerate_length_spectrum(
         group, args.max_length, args.word_radius)
+    return group, spec, ["group: %s" % args.group,
+                         "max_length: %s" % _fmt(args.max_length),
+                         "word_radius: %d" % spec.word_radius]
 
 
 def _cusp_family(args, group):
@@ -113,16 +119,17 @@ def _csv(args, provenance, columns, rows):
 
 
 def cmd_spectrum(args):
-    _, spec = _spectrum_args(args)
+    _, spec, provenance = _spectrum_args(args)
     if args.format == "json":
-        _write(args.out, _json_dump(fuchsian.spectrum_to_json(spec)) + "\n")
+        obj = dataclasses.asdict(spec)
+        obj = {k: obj[k] for k in ("surface", "cutoff", "entries",
+                                   "word_radius")}
+        _write(args.out, _json_dump(obj) + "\n")
     else:
         _write(args.out, _csv(
-            args, ["group: %s" % args.group,
-                   "max_length: %s" % _fmt(args.max_length),
-                   "word_radius: %d" % spec.word_radius,
-                   "merge_tolerance: %s" % _fmt(fuchsian.MERGE_TOL),
-                   "node_budget: %d" % fuchsian.NODE_BUDGET],
+            args, provenance + [
+                "merge_tolerance: %s" % _fmt(fuchsian.MERGE_TOL),
+                "node_budget: %d" % fuchsian.NODE_BUDGET],
             ["length", "mult", "pinched"],
             [(e.length, e.mult, e.pinched) for e in spec.entries]))
     return EXIT_OK
@@ -130,31 +137,24 @@ def cmd_spectrum(args):
 
 def cmd_trace(args):
     ts = np.array(_parse_floats(args.t))
-    group, spec = _spectrum_args(args)
+    group, spec, provenance = _spectrum_args(args)
     fam = _cusp_family(args, group)
-    surface = group.surface
-    ident = trace_terms.identity_term(surface.area, ts)
-    hyp = trace_terms.hyperbolic_trace(spec, ts)
-    para = surface.cusps * trace_terms.cusp_term(ts)
-    cusp = np.exp(-ts / 4.0) / np.sqrt(4.0 * math.pi * ts) * fam.log_sum
+    cols = trace_terms.heat_trace_columns(group.surface, spec, fam, ts)
     _write(args.out, _csv(
-        args, ["group: %s" % args.group,
-               "max_length: %s" % _fmt(args.max_length),
-               "word_radius: %d" % spec.word_radius,
-               "cusp_starts: %s" % ",".join(_fmt(a) for a in fam.starts)],
+        args, provenance + [
+            "cusp_starts: %s" % ",".join(_fmt(a) for a in fam.starts)],
         ["t", "identity", "hyperbolic", "parabolic", "cusp_start",
          "relative_trace"],
-        zip(ts, ident, hyp, para, cusp, ident + hyp + para + cusp)))
+        zip(ts, *cols, sum(cols))))
     return EXIT_OK
 
 
 def cmd_det(args):
-    group, spec = _spectrum_args(args)
+    group, spec, _ = _spectrum_args(args)
     fam = _cusp_family(args, group)
     res = zeta_engine.relative_determinant(
         group.surface, spec, fam, args.t_max, eps_trunc=args.eps_trunc)
-    obj = zeta_engine.zeta_result_to_json(res.zeta)
-    obj["det_hyp"] = res.det_hyp
+    obj = dict(dataclasses.asdict(res.zeta), det_hyp=res.det_hyp)
     _write(args.out, _json_dump(obj) + "\n")
     return EXIT_OK
 
@@ -195,17 +195,15 @@ def cmd_pinch_sweep(args):
         grid = list(np.geomspace(args.ell_start, args.ell_stop,
                                  args.ell_num))
         grid.sort(reverse=True)
-    group, spec = _spectrum_args(args)
+    group, spec, provenance = _spectrum_args(args)
     indices = args.pinch_index if args.pinch_index else [0]
     rows = degeneration.pinch_sweep(
         spec, indices, grid, args.baseline, group.surface)
     _write(args.out, _csv(
-        args, ["group: %s" % args.group,
-               "max_length: %s" % _fmt(args.max_length),
-               "word_radius: %d" % spec.word_radius,
-               "pinch_indices: %s" % ",".join(str(i) for i in indices),
-               "baseline: %s" % _fmt(args.baseline),
-               "small_eig_model: ell^2 per pinched geodesic (synthetic)"],
+        args, provenance + [
+            "pinch_indices: %s" % ",".join(str(i) for i in indices),
+            "baseline: %s" % _fmt(args.baseline),
+            "small_eig_model: ell^2 per pinched geodesic (synthetic)"],
         [f.name for f in dataclasses.fields(degeneration.PinchSweepRow)],
         map(dataclasses.astuple, rows)))
     return EXIT_OK
@@ -275,47 +273,75 @@ def _selfcheck_zeta():
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a DomainError, so it reaches
-    the one JSON error channel; subparsers are built from this class."""
+    the one JSON error channel; subparsers are built from this class.
+    An option whose destination `config` names takes its default from
+    there (a list of values for a repeatable option)."""
+
+    config = {}
 
     def error(self, message):
         raise DomainError("%s: %s" % (self.prog, message))
 
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.dest in self.config:
+            value = self.config[action.dest]
+            if kwargs.get("action") != "append":
+                action.default = _config_value(action, value)
+            else:
+                action.default = [_config_value(action, v) for v in (
+                    value if isinstance(value, list) else [value])]
+            action.required = False
+        return action
+
+
+def _config_value(action, value):
+    """A --config value read as its JSON text would be read on the
+    command line: through the option's type, within its choices."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        value = (action.type or str)(text)
+    except ValueError:
+        raise DomainError("--config value for %s: invalid %s value %r"
+                          % (action.dest, action.type.__name__, text)
+                          ) from None
+    if action.choices is not None and value not in action.choices:
+        raise DomainError("--config value for %s: %r is not one of %s"
+                          % (action.dest, value, ", ".join(action.choices)))
+    return value
+
 
 def build_parser(config=None):
-    config = config or {}
     p = _Parser(
         prog="cuspspec",
         description="Spectral invariants of hyperbolic surfaces with cusps")
     p.add_argument("--config", help="JSON file with default parameter values")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn):
+    def add(name, fn, length_flag=None):
+        """A subcommand; one with a length_flag (the spectrum cutoff)
+        also takes the group and the word radius."""
         sp = sub.add_parser(name)
+        sp.config = config or {}
         sp.set_defaults(func=fn)
+        if length_flag:
+            sp.add_argument("--group", required=True,
+                            help="built-in group name")
+            sp.add_argument(length_flag, dest="max_length", type=float,
+                            required=True)
+            sp.add_argument("--word-radius", type=int, default=None)
         return sp
 
-    common_group = dict(required=True,
-                        help="built-in group name")
-
-    sp = add("spectrum", cmd_spectrum)
-    sp.add_argument("--group", **common_group)
-    sp.add_argument("--max-length", type=float, required=True)
-    sp.add_argument("--word-radius", type=int, default=None)
+    sp = add("spectrum", cmd_spectrum, "--max-length")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", default=None)
 
-    sp = add("trace", cmd_trace)
-    sp.add_argument("--group", **common_group)
-    sp.add_argument("--max-length", type=float, required=True)
-    sp.add_argument("--word-radius", type=int, default=None)
+    sp = add("trace", cmd_trace, "--max-length")
     sp.add_argument("--t", required=True, help="comma-separated t values")
     sp.add_argument("--cusp-starts", default=None)
     sp.add_argument("--out", default=None)
 
-    sp = add("det", cmd_det)
-    sp.add_argument("--group", **common_group)
-    sp.add_argument("--cutoff", dest="max_length", type=float, required=True)
-    sp.add_argument("--word-radius", type=int, default=None)
+    sp = add("det", cmd_det, "--cutoff")
     sp.add_argument("--t-max", type=float, required=True)
     sp.add_argument("--eps-trunc", type=float, default=0.02)
     sp.add_argument("--cusp-starts", default=None)
@@ -326,10 +352,7 @@ def build_parser(config=None):
     sp.add_argument("--t", required=True)
     sp.add_argument("--out", default=None)
 
-    sp = add("pinch-sweep", cmd_pinch_sweep)
-    sp.add_argument("--group", **common_group)
-    sp.add_argument("--cutoff", dest="max_length", type=float, required=True)
-    sp.add_argument("--word-radius", type=int, default=None)
+    sp = add("pinch-sweep", cmd_pinch_sweep, "--cutoff")
     sp.add_argument("--pinch-index", type=int, action="append")
     sp.add_argument("--ell-grid", default=None)
     sp.add_argument("--ell-start", type=float, default=0.1)
@@ -339,16 +362,6 @@ def build_parser(config=None):
     sp.add_argument("--out", default=None)
 
     add("selfcheck", cmd_selfcheck)
-
-    # config-file values override built-in defaults; explicit flags
-    # override the config file
-    if config:
-        wanted = {k.replace("-", "_"): v for k, v in config.items()}
-        for sub_parser in sub.choices.values():
-            for action in sub_parser._actions:
-                if action.dest in wanted:
-                    action.default = wanted[action.dest]
-                    action.required = False
     return p
 
 
@@ -359,23 +372,28 @@ def _error(exc, code):
     return code
 
 
+def _read_config(argv):
+    """The option defaults of a --config FILE (or --config=FILE) in
+    argv, keyed by destination, and argv without that option.  Config
+    values override built-in defaults; explicit flags override them."""
+    pre = _Parser(prog="cuspspec", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config is None:
+        return {}, argv
+    with open(known.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise DomainError("--config must hold a JSON object, not %s"
+                          % type(config).__name__)
+    return {k.replace("-", "_"): v for k, v in config.items()}, argv
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    config = {}
-    if "--config" in argv:
-        try:
-            i = argv.index("--config")
-            cfg_path = argv[i + 1]
-            with open(cfg_path) as fh:
-                config = json.load(fh)
-        except (IndexError, OSError, json.JSONDecodeError) as exc:
-            return _error(exc, EXIT_IO)
-        # --config may appear before or after the subcommand; the
-        # values were consumed above, so remove the flag either way
-        del argv[i:i + 2]
-    parser = build_parser(config)
     try:
-        args = parser.parse_args(argv)
+        config, argv = _read_config(argv)
+        args = build_parser(config).parse_args(argv)
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         return _error(exc, next(code for cls, code in EXIT_CODES.items()

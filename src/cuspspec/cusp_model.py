@@ -43,12 +43,12 @@ def cusp_heat_kernel(a, y, yp, t):
     the cut height a (the kernel vanishes there together with the
     Dirichlet extension by zero).
     """
-    if a < 1.0:
-        raise DomainError("cut height a must be >= 1")
-    if t <= 0.0:
-        raise DomainError("cusp_heat_kernel requires t > 0")
-    if y <= 0.0 or yp <= 0.0:
-        raise DomainError("cusp_heat_kernel requires y, y' > 0")
+    if not (math.isfinite(a) and a >= 1.0):
+        raise DomainError("cut height a must be finite and >= 1")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError("cusp_heat_kernel requires a finite t > 0")
+    if not (math.isfinite(y) and math.isfinite(yp) and y > 0.0 and yp > 0.0):
+        raise DomainError("cusp_heat_kernel requires finite y, y' > 0")
     if y <= a or yp <= a:
         return 0.0
     pref = math.exp(-t / 4.0) / math.sqrt(4.0 * math.pi * t)
@@ -64,9 +64,9 @@ def relative_cusp_trace(a, t):
     Closed form for the trace of the difference of the two Dirichlet
     model heat operators with cuts at a and at 1; linear in log a.
     """
-    if a < 1.0:
-        raise DomainError("cut height a must be >= 1")
-    if t <= 0.0:
-        raise DomainError("relative_cusp_trace requires t > 0")
+    if not (math.isfinite(a) and a >= 1.0):
+        raise DomainError("cut height a must be finite and >= 1")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError("relative_cusp_trace requires a finite t > 0")
     return -math.exp(-t / 4.0) / math.sqrt(4.0 * math.pi * t) * math.log(a)
 

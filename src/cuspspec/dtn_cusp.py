@@ -19,8 +19,8 @@ def n2_zero_symbol(n, beta):
     on the circle of circumference 1/beta; n must be an integer."""
     if not float(n).is_integer():
         raise DomainError("Fourier mode n must be an integer, got %r" % (n,))
-    if beta < 1.0:
-        raise DomainError("n2_zero_symbol requires beta >= 1")
+    if not (math.isfinite(beta) and beta >= 1.0):
+        raise DomainError("n2_zero_symbol requires a finite beta >= 1")
     return 2.0 * math.pi * abs(n) * beta * beta
 
 
@@ -44,9 +44,11 @@ def n2_symbol(s, n, beta):
     at s = 1/2 the zero mode has no decaying extension and the call is
     refused.  A non-integer n is refused by n2_zero_symbol.
     """
-    if beta < 1.0:
-        raise DomainError("n2_symbol requires beta >= 1")
+    if not (math.isfinite(beta) and beta >= 1.0):
+        raise DomainError("n2_symbol requires a finite beta >= 1")
     s = float(s)
+    if not math.isfinite(s):
+        raise DomainError("n2_symbol requires a finite s")
     if n == 0:
         if s > 0.5:
             return s - 1.0

@@ -41,22 +41,9 @@ class SingularityError(NumericsError):
 class BudgetExceededError(NumericsError):
     """Enumeration outgrew its configured node budget."""
 
-    def __init__(self, message, nodes_visited=None):
-        super().__init__(message)
-        self.nodes_visited = nodes_visited
-
 
 class QuadratureError(NumericsError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the best available estimate and the achieved error bound so
-    callers can decide whether to accept the degraded result.
-    """
-
-    def __init__(self, message, estimate=None, achieved=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.achieved = achieved
+    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class ExpansionMismatchError(NumericsError):

@@ -35,7 +35,7 @@ from .errors import (
 __all__ = [
     "Mobius", "GroupPresentation", "SpectrumEntry", "LengthSpectrum",
     "SurfaceData", "builtin_group", "enumerate_length_spectrum",
-    "spectrum_to_json", "MERGE_TOL", "NODE_BUDGET",
+    "MERGE_TOL", "NODE_BUDGET",
 ]
 
 # enumerated lengths closer than this merge into one entry
@@ -311,24 +311,3 @@ def enumerate_length_spectrum(group, max_length, max_word_length=None):
     return LengthSpectrum(tuple(entries), float(max_length), group.surface,
                           word_radius=max_word_length)
 
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-def spectrum_to_json(spec):
-    obj = {
-        "surface": {
-            "genus": spec.surface.genus,
-            "cusps": spec.surface.cusps,
-            "components": spec.surface.components,
-        },
-        "cutoff": spec.cutoff,
-        "entries": [
-            {"length": e.length, "mult": e.mult, "pinched": e.pinched}
-            for e in spec.entries
-        ],
-    }
-    if spec.word_radius is not None:
-        obj["word_radius"] = spec.word_radius
-    return obj

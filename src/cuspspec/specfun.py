@@ -175,10 +175,7 @@ def integrate(f, a, b, spec=None):
         return QuadratureResult(total, total_err)
     raise QuadratureError(
         "adaptive quadrature did not converge within %d subdivisions "
-        "(achieved %.3e)" % (spec.max_subdivisions, total_err),
-        estimate=total,
-        achieved=total_err,
-    )
+        "(achieved %.3e)" % (spec.max_subdivisions, total_err))
 
 
 # ----------------------------------------------------------------------

@@ -24,11 +24,11 @@ __all__ = [
     "identity_term", "hyperbolic_trace",
     "parabolic_p", "parabolic_p_asymptotic", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
-    "relative_heat_trace", "model_from_json",
+    "heat_trace_columns", "relative_heat_trace", "cusp_term_expansion",
+    "heat_trace_expansion", "model_from_json",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_EULER_GAMMA = 0.5772156649015329
 
 # Small-t expansion of P(t) = int e^{-t(1/4+r^2)} Re psi(1+ir) dr, checked
 # against high-precision evaluation of the defining integral
@@ -39,10 +39,11 @@ _EULER_GAMMA = 0.5772156649015329
 #          + PARA_C_SQRTLOG * sqrt(t) log(t) + PARA_C_SQRT * sqrt(t)
 #          + PARA_C_LIN * t + O(t^{3/2} log t)
 PARA_A_LOG = -_SQRT_PI / 2.0
-PARA_A_CONST = -_SQRT_PI / 2.0 * (_EULER_GAMMA + 2.0 * math.log(2.0))
+PARA_A_CONST = -_SQRT_PI / 2.0 * (np.euler_gamma + 2.0 * math.log(2.0))
 PARA_C0 = math.pi / 2.0
 PARA_C_SQRTLOG = _SQRT_PI / 8.0
-PARA_C_SQRT = _SQRT_PI / 8.0 * (_EULER_GAMMA + 2.0 * math.log(2.0) - 4.0 / 3.0)
+PARA_C_SQRT = (_SQRT_PI / 8.0
+               * (np.euler_gamma + 2.0 * math.log(2.0) - 4.0 / 3.0))
 PARA_C_LIN = -math.pi / 8.0
 
 
@@ -90,13 +91,21 @@ class ScatteringModel:
 _BLOCK = 1 << 18
 
 
+# t range of the trace terms: below it area/(4 pi t) overflows, above it
+# t lam^2 and 16 pi t do (every term is 0 in double from t = 3000 on)
+_T_RANGE = (1e-300, 1e300)
+
+
 def _t_array(t, name):
     """t as a flat float array plus its original shape; trace terms
-    require finite t > 0."""
+    require finite t > 0, within _T_RANGE."""
     arr = np.asarray(t, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise DomainError(
             "%s requires a nonempty t with finite values > 0" % name)
+    if np.any((arr < _T_RANGE[0]) | (arr > _T_RANGE[1])):
+        raise DomainError("%s requires t within [%g, %g]"
+                          % ((name,) + _T_RANGE))
     return arr.ravel(), arr.shape
 
 
@@ -244,7 +253,7 @@ def _parabolic_series(t):
         tail += c * rt ** (-s) * _hurwitz_zeta(s, n_direct + 1.0)
     series -= 0.5 * _SQRT_PI * tail
     return 2.0 * np.exp(-t / 4.0) * (
-        -_EULER_GAMMA * _SQRT_PI / (2.0 * rt) + series)
+        -np.euler_gamma * _SQRT_PI / (2.0 * rt) + series)
 
 
 def cusp_term(t):
@@ -345,20 +354,62 @@ def scattering_erfc_sum(model, t):
     return out + 0.25 * damp * acc.real
 
 
-def relative_heat_trace(surface, spectrum, cusp_starts, t):
-    """Geometric-side relative heat trace against the reference model
-    operator with cut heights cusp_starts:
-
-    hyperbolic + identity + m cusp_term(t)
-      + e^{-t/4}/sqrt(4 pi t) * sum_j log a_j.
+def heat_trace_columns(surface, spectrum, cusp_starts, t):
+    """The four terms of the geometric-side relative heat trace against
+    the reference model operator with cut heights cusp_starts, each of
+    the shape of t: identity_term, hyperbolic_trace, m cusp_term(t) and
+    the cut-height Gaussian e^{-t/4}/sqrt(4 pi t) * sum_j log a_j.
     """
     if surface.cusps != len(cusp_starts.starts):
         raise DomainError("cusp count mismatch between surface and starts")
-    t, shape = _t_array(t, "relative_heat_trace")
-    gauss = np.exp(-t / 4.0) / np.sqrt(4.0 * math.pi * t)
-    out = (hyperbolic_trace(spectrum, t) + identity_term(surface.area, t)
-           + surface.cusps * cusp_term(t) + gauss * cusp_starts.log_sum)
-    return _shaped(out, shape)
+    ident = identity_term(surface.area, t)  # refuses a bad t first
+    flat, shape = _t_array(t, "heat_trace_columns")
+    cut = np.exp(-flat / 4.0) / np.sqrt(4.0 * math.pi * flat)
+    return (ident, hyperbolic_trace(spectrum, t),
+            surface.cusps * cusp_term(t),
+            _shaped(cut * cusp_starts.log_sum, shape))
+
+
+def relative_heat_trace(surface, spectrum, cusp_starts, t):
+    """theta(t), the sum of :func:`heat_trace_columns`."""
+    return sum(heat_trace_columns(surface, spectrum, cusp_starts, t))
+
+
+def cusp_term_expansion():
+    """Small-t expansion of :func:`cusp_term` as (alpha, k, c) terms
+    c t^alpha (log t)^k.  Assembled from the P(t) ladder; all integer
+    powers cancel exactly, leaving a pure half-integer ladder.
+    """
+    log2 = math.log(2.0)
+    return (
+        (-0.5, 1, -PARA_A_LOG / math.pi),
+        (-0.5, 0, -PARA_A_CONST / math.pi - log2 / (2.0 * _SQRT_PI)),
+        (0.5, 1, -PARA_C_SQRTLOG / math.pi),
+        (0.5, 0, -PARA_C_SQRT / math.pi + log2 / (8.0 * _SQRT_PI)),
+    )
+
+
+def heat_trace_expansion(surface, cusp_starts):
+    """Small-t expansion of :func:`relative_heat_trace` as (alpha, k, c)
+    terms sorted by (alpha, k).  Composed from the heat coefficients of
+    the identity term, the cut-height Gaussian, and m copies of
+    :func:`cusp_term_expansion`; the geodesic sum is exponentially small
+    and contributes nothing.
+    """
+    area = surface.area
+    s_log = cusp_starts.log_sum
+    coeffs = {
+        # identity term: (area/4pi)(1/t - 1/3 + t/15 + ...)
+        (-1.0, 0): area / (4.0 * math.pi),
+        (0.0, 0): -area / (12.0 * math.pi),
+        (1.0, 0): area / (60.0 * math.pi),
+        # cut heights: e^{-t/4}/sqrt(4 pi t) sum_j log a_j
+        (-0.5, 0): s_log / (2.0 * _SQRT_PI),
+        (0.5, 0): -s_log / (8.0 * _SQRT_PI),
+    }
+    for a, k, c in cusp_term_expansion():
+        coeffs[(a, k)] = coeffs.get((a, k), 0.0) + surface.cusps * c
+    return tuple((a, k, c) for (a, k), c in sorted(coeffs.items()))
 
 
 # ----------------------------------------------------------------------

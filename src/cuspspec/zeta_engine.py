@@ -29,22 +29,13 @@ from .errors import (
     TruncationError,
 )
 from .specfun import QuadratureSpec, integrate
-from .trace_terms import (
-    PARA_A_CONST,
-    PARA_A_LOG,
-    PARA_C_SQRT,
-    PARA_C_SQRTLOG,
-)
 
 __all__ = [
     "ExpansionDescriptor", "ZetaResult", "RelativeDeterminantResult",
     "mellin_zeta_prime0", "xi_prime0", "relative_determinant",
-    "zeta_result_to_json",
     "surface_expansion",
 ]
 
-_EULER_GAMMA = 0.5772156649015329
-_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -183,7 +174,7 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
     h = expansion.h
 
     # analytic Mellin images of the declared terms at s = 0
-    analytic = _EULER_GAMMA * (expansion.constant_term - h)
+    analytic = np.euler_gamma * (expansion.constant_term - h)
     for a, k, c in expansion.terms:
         if a != 0.0:
             analytic += c * (-1.0) ** k * math.factorial(k) / a ** (k + 1)
@@ -237,26 +228,11 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
 # the auxiliary cusp constant
 # ----------------------------------------------------------------------
 
-def _xi_expansion():
-    """Small-t expansion of -P(t)/pi + e^{-t/4}(1/2 - log2/sqrt(4 pi t)).
-
-    Assembled from the P(t) ladder; all integer powers cancel exactly,
-    leaving a pure half-integer ladder.
-    """
-    log2 = math.log(2.0)
-    terms = (
-        (-0.5, 1, -PARA_A_LOG / math.pi),
-        (-0.5, 0, -PARA_A_CONST / math.pi - log2 / (2.0 * _SQRT_PI)),
-        (0.5, 1, -PARA_C_SQRTLOG / math.pi),
-        (0.5, 0, -PARA_C_SQRT / math.pi + log2 / (8.0 * _SQRT_PI)),
-    )
-    return ExpansionDescriptor(terms, h=0.0)
-
-
 @lru_cache(maxsize=1)
 def _xi_constant():
-    res = mellin_zeta_prime0(trace_terms.cusp_term, _xi_expansion(),
-                             t_max=60.0)
+    res = mellin_zeta_prime0(
+        trace_terms.cusp_term,
+        ExpansionDescriptor(trace_terms.cusp_term_expansion()), t_max=60.0)
     return res.zeta_prime_zero
 
 
@@ -274,27 +250,11 @@ def xi_prime0(num_cusps):
 # ----------------------------------------------------------------------
 
 def surface_expansion(surface, cusp_starts):
-    """Declared small-t expansion of the geometric-side relative heat
-    trace.  Composed from the heat coefficients of the identity term,
-    the cut-height Gaussian, and m copies of the cusp-term expansion
-    :func:`_xi_expansion`; the geodesic sum is exponentially small and
-    contributes nothing.
-    """
-    area = surface.area
-    s_log = cusp_starts.log_sum
-    coeffs = {
-        # identity term: (area/4pi)(1/t - 1/3 + t/15 + ...)
-        (-1.0, 0): area / (4.0 * math.pi),
-        (0.0, 0): -area / (12.0 * math.pi),
-        (1.0, 0): area / (60.0 * math.pi),
-        # cut heights: e^{-t/4}/sqrt(4 pi t) sum_j log a_j
-        (-0.5, 0): s_log / (2.0 * _SQRT_PI),
-        (0.5, 0): -s_log / (8.0 * _SQRT_PI),
-    }
-    for a, k, c in _xi_expansion().terms:
-        coeffs[(a, k)] = coeffs.get((a, k), 0.0) + surface.cusps * c
-    terms = tuple((a, k, c) for (a, k), c in sorted(coeffs.items()))
-    return ExpansionDescriptor(terms, h=float(surface.components))
+    """The engine's expansion of :func:`trace_terms.relative_heat_trace`:
+    its small-t terms, with h the number of components."""
+    return ExpansionDescriptor(
+        trace_terms.heat_trace_expansion(surface, cusp_starts),
+        h=float(surface.components))
 
 
 def max_t_for_cutoff(cutoff, eps_trunc):
@@ -336,15 +296,3 @@ def relative_determinant(surface, spectrum, cusp_starts, t_max,
     det_hyp = zeta.determinant / math.exp(-xi_prime0(surface.cusps))
     return RelativeDeterminantResult(zeta=zeta, det_hyp=det_hyp)
 
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-def zeta_result_to_json(res):
-    return {
-        "zeta_prime_zero": res.zeta_prime_zero,
-        "determinant": res.determinant,
-        "small_t_error": res.small_t_error,
-        "large_t_error": res.large_t_error,
-    }

@@ -1,28 +1,38 @@
+import contextlib
 import csv
+import dataclasses
 import importlib
 import importlib.util
+import io
 import json
 import math
 import pathlib
 import pkgutil
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cuspspec
-from cuspspec import fuchsian
+from cuspspec import cli, fuchsian, trace_terms
+from cuspspec.cusp_model import CuspFamily
 
 
 # a two-resonance scattering model in the --model file format
 SCATTER_MODEL = {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
                  "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
                                 {"re": -0.3, "im": -1.0, "order": 1}]}
-# --model file contents behind the "{model...}" placeholders of
+# --model and --config file contents behind the "{...}" placeholders of
 # TestErrorChannel.test_bad_input_refused
-MODEL_FILES = {"{model}": json.dumps(SCATTER_MODEL),
+INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                "{model-missing-key}": json.dumps({"q": 2.0}),
-               "{model-not-json}": "not json"}
+               "{model-not-json}": "not json",
+               "{config-not-object}": "[1]",
+               "{config-null-t-max}": json.dumps({"t_max": None}),
+               "{config-list-max-length}": json.dumps({"max_length": [1, 2]})}
 
 
 def run_cli(*argv):
@@ -64,7 +74,8 @@ class TestSpectrumCommand:
                    - 2.0 * math.acosh(3.0)) < 1e-12
         spec = fuchsian.enumerate_length_spectrum(
             fuchsian.builtin_group("thrice-punctured-sphere"), 6.0)
-        assert obj == fuchsian.spectrum_to_json(spec)
+        assert list(obj) == ["surface", "cutoff", "entries", "word_radius"]
+        assert obj == json.loads(json.dumps(dataclasses.asdict(spec)))
 
     def test_deterministic_byte_identical(self):
         a = run_cli("spectrum", "--group", "thrice-punctured-sphere",
@@ -94,6 +105,21 @@ class TestTraceCommand:
                           "cusp_start", "relative_trace"]
         row = [float(x) for x in data[1].split(",")]
         assert abs(sum(row[1:5]) - row[5]) < 1e-12
+
+
+    def test_relative_trace_is_relative_heat_trace(self):
+        out = run_cli("trace", "--group", "thrice-punctured-sphere",
+                      "--max-length", "8", "--t", "1e-8,0.5,30",
+                      "--cusp-starts", "2,1.5,3.3")
+        assert out.returncode == 0
+        group = fuchsian.builtin_group("thrice-punctured-sphere")
+        spec = fuchsian.enumerate_length_spectrum(group, 8.0)
+        ts = np.array([1e-8, 0.5, 30.0])
+        theta = trace_terms.relative_heat_trace(
+            group.surface, spec, CuspFamily((2.0, 1.5, 3.3)), ts)
+        # 17 significant digits print every double exactly
+        assert [float(r["relative_trace"])
+                for r in csv_records(out.stdout)] == list(theta)
 
 
 class TestDetCommand:
@@ -193,6 +219,18 @@ class TestConfigAndEnvironment:
                 if ln and not ln.startswith("#")]
         assert len(data) == 2  # header plus the systole only
 
+    def test_config_equals_form(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps_trunc": 0.5}))
+        argv = ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+                "--t-max", "4"]
+        spaced = run_cli("--config", str(cfg), *argv)
+        joined = run_cli("--config=%s" % cfg, *argv)
+        # the default eps_trunc of 0.02 refuses t_max 4 at cutoff 6
+        assert run_cli(*argv).returncode == 2
+        assert spaced.returncode == joined.returncode == 0
+        assert spaced.stdout == joined.stdout
+
     def test_missing_config_is_io_error(self):
         out = run_cli("--config", "/nonexistent/cfg.json", "selfcheck")
         assert out.returncode == 4
@@ -276,16 +314,26 @@ class TestErrorChannel:
          "--t-max", "abc"],
         ["spectrum", "--max-length", "6"],
         ["no-such-command"],
+        # t refused before any term is evaluated, with no numpy warning
+        ["trace", "--group", "thrice-punctured-sphere", "--max-length", "6",
+         "--t=-1,1"],
+        ["trace", "--group", "thrice-punctured-sphere", "--max-length", "6",
+         "--t", "0,1"],
+        ["--config", "{config-not-object}", "selfcheck"],
+        ["--config", "{config-null-t-max}", "det", "--group",
+         "thrice-punctured-sphere", "--cutoff", "6"],
+        ["--config", "{config-list-max-length}", "spectrum", "--group",
+         "thrice-punctured-sphere"],
+        ["selfcheck", "--config"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
-        # a "{model...}" argument stands for a --model file holding
-        # MODEL_FILES[argument]
+        # a "{...}" argument stands for a file holding INPUT_FILES[argument]
         def arg(a):
-            if a not in MODEL_FILES:
+            if a not in INPUT_FILES:
                 return a
-            model = tmp_path / "model.json"
-            model.write_text(MODEL_FILES[a])
-            return str(model)
+            path = tmp_path / "input.json"
+            path.write_text(INPUT_FILES[a])
+            return str(path)
         out = run_cli(*map(arg, argv))
         assert out.returncode == 2
         assert json.loads(out.stderr)["error"] == "DomainError"
@@ -321,6 +369,32 @@ class TestErrorChannel:
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
                       "--max-length", "5", "--out", "/nonexistent/dir/x.csv")
         assert out.returncode == 4
+
+
+# every kind of --t item: any double (NaN, infinities, subnormals and
+# the largest finite values among them) plus the edge cases by name
+T_ITEMS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300,
+     1e300, 1.7e308]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(T_ITEMS, min_size=1, max_size=4))
+def test_trace_accepts_or_refuses_any_t(ts):
+    """trace exits 0 or 2 on any --t list, without a warning or a NaN,
+    and every refusal is one JSON object on stderr."""
+    argv = ["trace", "--group", "thrice-punctured-sphere", "--max-length",
+            "4", "--t=" + ",".join(map(repr, ts))]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 2)
+    assert "nan" not in (out.getvalue() + err.getvalue()).lower()
+    if code:
+        assert out.getvalue() == ""
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
 
 
 def test_bench_layer_names_resolve():

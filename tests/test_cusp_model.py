@@ -44,12 +44,13 @@ class TestKernel:
         assert cusp_heat_kernel(1.5, 3.0, 3.0, 0.5) > 0.0
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            cusp_heat_kernel(0.5, 2.0, 2.0, 1.0)
-        with pytest.raises(DomainError):
-            cusp_heat_kernel(1.5, 2.0, 2.0, 0.0)
-        with pytest.raises(DomainError):
-            cusp_heat_kernel(1.5, -1.0, 2.0, 1.0)
+        for args in [(0.5, 2.0, 2.0, 1.0), (1.5, 2.0, 2.0, 0.0),
+                     (1.5, -1.0, 2.0, 1.0), (math.nan, 2.0, 2.0, 1.0),
+                     (1.0, 2.0, 2.0, math.nan), (math.inf, 2.0, 2.0, 1.0),
+                     (1.0, 2.0, 2.0, math.inf), (1.0, math.nan, 2.0, 1.0),
+                     (1.0, 2.0, math.inf, 1.0)]:
+            with pytest.raises(DomainError):
+                cusp_heat_kernel(*args)
 
 
 class TestRelativeTrace:
@@ -74,10 +75,10 @@ class TestRelativeTrace:
         assert abs(relative_cusp_trace(a, t) - ref) < 1e-15
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            relative_cusp_trace(0.9, 1.0)
-        with pytest.raises(DomainError):
-            relative_cusp_trace(2.0, -1.0)
+        for a, t in [(0.9, 1.0), (2.0, -1.0), (math.nan, 1.0),
+                     (2.0, math.nan), (math.inf, 1.0), (2.0, math.inf)]:
+            with pytest.raises(DomainError):
+                relative_cusp_trace(a, t)
 
 
 class TestCuspFamily:

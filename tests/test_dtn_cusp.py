@@ -15,8 +15,11 @@ class TestZeroModel:
         assert n2_zero_symbol(-3, 2.0) == n2_zero_symbol(3, 2.0)
 
     def test_beta_below_one_rejected(self):
-        with pytest.raises(DomainError):
-            n2_zero_symbol(1, 0.9)
+        for beta in (0.9, math.nan, math.inf):
+            with pytest.raises(DomainError, match="beta"):
+                n2_zero_symbol(1, beta)
+            with pytest.raises(DomainError, match="beta"):
+                n2_symbol(0.3, 1, beta)
 
 
 class TestNonzeroModes:
@@ -60,3 +63,8 @@ class TestZeroMode:
     def test_critical_line_refused(self):
         with pytest.raises(DomainError):
             n2_symbol(0.5, 0, 1.5)
+        # a non-finite s is refused before any mode's branch is taken
+        for s in (math.nan, math.inf, -math.inf):
+            for n in (0, 1):
+                with pytest.raises(DomainError, match="finite s"):
+                    n2_symbol(s, n, 1.5)
