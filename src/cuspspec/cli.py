@@ -271,6 +271,15 @@ def _selfcheck_zeta():
     return abs(res.determinant - 2.0) < 1e-8
 
 
+class _Append(argparse.Action):
+    """action="append", except that explicit flags replace a --config list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        old = getattr(namespace, self.dest)
+        setattr(namespace, self.dest,
+                [values] if old is self.default else old + [values])
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a DomainError, so it reaches
     the one JSON error channel; subparsers are built from this class.
@@ -286,7 +295,7 @@ class _Parser(argparse.ArgumentParser):
         action = super().add_argument(*args, **kwargs)
         if action.dest in self.config:
             value = self.config[action.dest]
-            if kwargs.get("action") != "append":
+            if kwargs.get("action") is not _Append:
                 action.default = _config_value(action, value)
             else:
                 action.default = [_config_value(action, v) for v in (
@@ -353,7 +362,7 @@ def build_parser(config=None):
     sp.add_argument("--out", default=None)
 
     sp = add("pinch-sweep", cmd_pinch_sweep, "--cutoff")
-    sp.add_argument("--pinch-index", type=int, action="append")
+    sp.add_argument("--pinch-index", type=int, action=_Append)
     sp.add_argument("--ell-grid", default=None)
     sp.add_argument("--ell-start", type=float, default=0.1)
     sp.add_argument("--ell-stop", type=float, default=0.001)

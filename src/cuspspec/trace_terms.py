@@ -22,6 +22,7 @@ from .specfun import QuadratureSpec
 __all__ = [
     "ScatteringModel",
     "identity_term", "hyperbolic_trace",
+    "P_EXPANSION", "expansion_value", "CUSP_CONSTANT",
     "parabolic_p", "parabolic_p_asymptotic", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
     "heat_trace_columns", "relative_heat_trace", "cusp_term_expansion",
@@ -30,21 +31,26 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Small-t expansion of P(t) = int e^{-t(1/4+r^2)} Re psi(1+ir) dr, checked
-# against high-precision evaluation of the defining integral
-# (TestParabolicP.test_mpmath_oracle in tests/test_trace_terms.py, and
-# criterion 4 in tests/test_acceptance.py).  Half-integer ladder with log
-# factors:
-#   P(t) ~ PARA_A_LOG * log(t)/sqrt(t) + PARA_A_CONST/sqrt(t) + PARA_C0
-#          + PARA_C_SQRTLOG * sqrt(t) log(t) + PARA_C_SQRT * sqrt(t)
-#          + PARA_C_LIN * t + O(t^{3/2} log t)
-PARA_A_LOG = -_SQRT_PI / 2.0
-PARA_A_CONST = -_SQRT_PI / 2.0 * (np.euler_gamma + 2.0 * math.log(2.0))
-PARA_C0 = math.pi / 2.0
-PARA_C_SQRTLOG = _SQRT_PI / 8.0
-PARA_C_SQRT = (_SQRT_PI / 8.0
-               * (np.euler_gamma + 2.0 * math.log(2.0) - 4.0 / 3.0))
-PARA_C_LIN = -math.pi / 8.0
+# Small-t expansion of P(t) = int e^{-t(1/4+r^2)} Re psi(1+ir) dr as
+# (alpha, k, c) terms c t^alpha (log t)^k, up to O(t^{3/2} log t); checked
+# against the defining integral in high precision (tests/test_trace_terms.py
+# TestParabolicP.test_mpmath_oracle, and acceptance criterion 4).
+P_EXPANSION = (
+    (-0.5, 1, -_SQRT_PI / 2.0),
+    (-0.5, 0, -_SQRT_PI / 2.0 * (np.euler_gamma + 2.0 * math.log(2.0))),
+    (0.0, 0, math.pi / 2.0),
+    (0.5, 1, _SQRT_PI / 8.0),
+    (0.5, 0, (_SQRT_PI / 8.0
+              * (np.euler_gamma + 2.0 * math.log(2.0) - 4.0 / 3.0))),
+    (1.0, 0, -math.pi / 8.0),
+)
+
+
+def expansion_value(terms, t):
+    """Sum of (alpha, k, c) terms c t^alpha (log t)^k at t (vectorized)."""
+    t = np.asarray(t, dtype=float)
+    lt = np.log(t)
+    return sum((c * t ** a * lt ** k for a, k, c in terms), np.zeros_like(t))
 
 
 @dataclass(frozen=True)
@@ -266,27 +272,21 @@ def cusp_term(t):
     return _shaped(out, shape)
 
 
-def parabolic_p_asymptotic(t, terms=5):
-    """Truncated small-t expansion of P(t).
+# The per-cusp constant c = zeta'(0) of cusp_term; det = e^{-m c} det_hyp.
+# Termwise c = -zeta_P'(0)/pi + (log 2)/2 + log 2.  zeta_P(s) = int_R
+# (1/4+r^2)^{-s} Re psi(1+ir) dr = -B'(s)/2 + H(s), B(s) = sqrt(pi) 2^{2s-1}
+# Gamma(s-1/2)/Gamma(s), H the same integral of h(r) = Re psi(1+ir) -
+# log(1/4+r^2)/2 = O(r^-2): zeta_P'(0) = 2 pi + H'(0), H'(0) = pi (3 log 2
+# - 2) (20-digit mpmath check, tests/test_zeta_engine.py::TestCuspConstant).
+CUSP_CONSTANT = -1.5 * math.log(2.0)
 
-    terms counts ladder entries beyond the leading log(t)/sqrt(t) term:
-    0 keeps the leading term alone, 5 keeps everything through O(t).
-    """
+
+def parabolic_p_asymptotic(t):
+    """P_EXPANSION summed at t in (0, 1]."""
     t, shape = _t_array(t, "parabolic_p_asymptotic")
     if np.any(t > 1.0):
         raise DomainError("parabolic_p_asymptotic limited to 0 < t <= 1")
-    if not 0 <= terms <= 5:
-        raise DomainError("terms must be in 0..5")
-    rt = np.sqrt(t)
-    lt = np.log(t)
-    ladder = [
-        PARA_A_CONST / rt,
-        PARA_C0,
-        PARA_C_SQRTLOG * rt * lt,
-        PARA_C_SQRT * rt,
-        PARA_C_LIN * t,
-    ]
-    return _shaped(PARA_A_LOG * lt / rt + sum(ladder[:terms]), shape)
+    return _shaped(expansion_value(P_EXPANSION, t), shape)
 
 
 def phi_log_deriv(model, s):
@@ -308,6 +308,8 @@ def phi_log_deriv(model, s):
 # tolerances of the scattering integral
 SCATTERING_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
                                  max_subdivisions=4000)
+# the scattering identity's t range: the integral drifts below, 0 = 0 above
+_SCATTER_T = (1e-20, 3000.0)
 
 
 def scattering_integral(model, t):
@@ -316,8 +318,9 @@ def scattering_integral(model, t):
     For a conjugation-closed model the integrand's real part is even and
     its imaginary part odd, so twice the half-line real part suffices.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError("scattering_integral requires finite t > 0")
+    if not _SCATTER_T[0] <= t <= _SCATTER_T[1]:
+        raise DomainError("scattering_integral: t outside [%g, %g]"
+                          % _SCATTER_T)
     for rho, _ in model.resonances:
         if abs(rho.real - 0.5) < 1e-9:
             raise DomainError("resonance on the critical line")
@@ -342,8 +345,9 @@ def scattering_erfc_sum(model, t):
     differ by exactly t(1/2-rho)^2) and free of overflow for resonances
     far left of the critical line.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError("scattering_erfc_sum requires finite t > 0")
+    if not _SCATTER_T[0] <= t <= _SCATTER_T[1]:
+        raise DomainError("scattering_erfc_sum: t outside [%g, %g]"
+                          % _SCATTER_T)
     rt = math.sqrt(t)
     damp = math.exp(-t / 4.0)
     out = -math.log(model.q) * damp / math.sqrt(16.0 * math.pi * t)
@@ -375,18 +379,18 @@ def relative_heat_trace(surface, spectrum, cusp_starts, t):
     return sum(heat_trace_columns(surface, spectrum, cusp_starts, t))
 
 
+def _gaussian_expansion(x):
+    """x e^{-t/4}/sqrt(4 pi t) through O(sqrt(t)) as (alpha, k, c) terms."""
+    return ((-0.5, 0, x / (2.0 * _SQRT_PI)), (0.5, 0, -x / (8.0 * _SQRT_PI)))
+
+
 def cusp_term_expansion():
-    """Small-t expansion of :func:`cusp_term` as (alpha, k, c) terms
-    c t^alpha (log t)^k.  Assembled from the P(t) ladder; all integer
-    powers cancel exactly, leaving a pure half-integer ladder.
-    """
-    log2 = math.log(2.0)
-    return (
-        (-0.5, 1, -PARA_A_LOG / math.pi),
-        (-0.5, 0, -PARA_A_CONST / math.pi - log2 / (2.0 * _SQRT_PI)),
-        (0.5, 1, -PARA_C_SQRTLOG / math.pi),
-        (0.5, 0, -PARA_C_SQRT / math.pi + log2 / (8.0 * _SQRT_PI)),
-    )
+    """Small-t expansion of :func:`cusp_term` as (alpha, k, c) terms: the
+    half-integer powers of -P_EXPANSION/pi plus the log 2 Gaussian; the
+    integer ones cancel e^{-t/4}/2 = 1/2 - t/8 + ... exactly."""
+    gauss = {(a, k): c for a, k, c in _gaussian_expansion(-math.log(2.0))}
+    return tuple((a, k, -c / math.pi + gauss.get((a, k), 0.0))
+                 for a, k, c in P_EXPANSION if a % 1.0)
 
 
 def heat_trace_expansion(surface, cusp_starts):
@@ -397,18 +401,15 @@ def heat_trace_expansion(surface, cusp_starts):
     and contributes nothing.
     """
     area = surface.area
-    s_log = cusp_starts.log_sum
     coeffs = {
         # identity term: (area/4pi)(1/t - 1/3 + t/15 + ...)
         (-1.0, 0): area / (4.0 * math.pi),
         (0.0, 0): -area / (12.0 * math.pi),
         (1.0, 0): area / (60.0 * math.pi),
-        # cut heights: e^{-t/4}/sqrt(4 pi t) sum_j log a_j
-        (-0.5, 0): s_log / (2.0 * _SQRT_PI),
-        (0.5, 0): -s_log / (8.0 * _SQRT_PI),
     }
-    for a, k, c in cusp_term_expansion():
-        coeffs[(a, k)] = coeffs.get((a, k), 0.0) + surface.cusps * c
+    for a, k, c in (_gaussian_expansion(cusp_starts.log_sum) + tuple(
+            (a, k, surface.cusps * c) for a, k, c in cusp_term_expansion())):
+        coeffs[(a, k)] = coeffs.get((a, k), 0.0) + c
     return tuple((a, k, c) for (a, k), c in sorted(coeffs.items()))
 
 

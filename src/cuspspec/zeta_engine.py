@@ -16,7 +16,6 @@ only the expansion remainder and the mid-range integral are quadratures.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .specfun import QuadratureSpec, integrate
 __all__ = [
     "ExpansionDescriptor", "ZetaResult", "RelativeDeterminantResult",
     "mellin_zeta_prime0", "xi_prime0", "relative_determinant",
-    "surface_expansion",
 ]
 
 
@@ -67,12 +65,7 @@ class ExpansionDescriptor:
 
     def evaluate(self, t):
         """Sum of the declared terms at t (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        lt = np.log(t)
-        for a, k, c in self.terms:
-            out += c * t ** a * lt ** k
-        return out
+        return trace_terms.expansion_value(self.terms, t)
 
     @property
     def constant_term(self):
@@ -224,38 +217,17 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
                                       mid.error + tail_err)
 
 
-# ----------------------------------------------------------------------
-# the auxiliary cusp constant
-# ----------------------------------------------------------------------
-
-@lru_cache(maxsize=1)
-def _xi_constant():
-    res = mellin_zeta_prime0(
-        trace_terms.cusp_term,
-        ExpansionDescriptor(trace_terms.cusp_term_expansion()), t_max=60.0)
-    return res.zeta_prime_zero
-
-
 def xi_prime0(num_cusps):
-    """m times the cusp constant c (computed once, then cached)."""
+    """m trace_terms.CUSP_CONSTANT, rounded once as -(3m/2) log 2 (m times
+    the rounded constant puts 5.6e-16 into e^{-3c} = 2^{9/2})."""
     if num_cusps < 0:
         raise DomainError("cusp count must be >= 0")
-    if num_cusps == 0:
-        return 0.0
-    return num_cusps * _xi_constant()
+    return -1.5 * num_cusps * math.log(2.0)
 
 
 # ----------------------------------------------------------------------
 # relative determinant of a surface
 # ----------------------------------------------------------------------
-
-def surface_expansion(surface, cusp_starts):
-    """The engine's expansion of :func:`trace_terms.relative_heat_trace`:
-    its small-t terms, with h the number of components."""
-    return ExpansionDescriptor(
-        trace_terms.heat_trace_expansion(surface, cusp_starts),
-        h=float(surface.components))
-
 
 def max_t_for_cutoff(cutoff, eps_trunc):
     """Largest trusted t for a spectrum truncated at the given length;
@@ -288,7 +260,9 @@ def relative_determinant(surface, spectrum, cusp_starts, t_max,
         return trace_terms.relative_heat_trace(
             surface, spectrum, cusp_starts, t)
 
-    expansion = surface_expansion(surface, cusp_starts)
+    expansion = ExpansionDescriptor(
+        trace_terms.heat_trace_expansion(surface, cusp_starts),
+        h=float(surface.components))
     # the identity term's area/(4 pi t) cancels against the expansion in
     # floating point; without the cut the remainder at t = 1e-9 reads
     # 6e-8 and the small-t integral does not converge

@@ -1,5 +1,8 @@
 import mpmath as mp
 
+from cuspspec import trace_terms
+from cuspspec.zeta_engine import ExpansionDescriptor, mellin_zeta_prime0
+
 CRITERION_RESULTS = []
 
 
@@ -29,3 +32,11 @@ def wolpert_series(ell, n_terms):
             qn *= q
             total += qn / (n * (1 - qn))
         return total
+
+
+def engine_cusp_constant():
+    """The per-cusp constant as the Mellin engine computes it from
+    cusp_term and its small-t expansion (a ZetaResult)."""
+    return mellin_zeta_prime0(
+        trace_terms.cusp_term,
+        ExpansionDescriptor(trace_terms.cusp_term_expansion()), t_max=60.0)

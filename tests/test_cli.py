@@ -11,6 +11,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,19 @@ class TestDetCommand:
         assert abs(obj["determinant"] - math.exp(-obj["zeta_prime_zero"])) \
             < 1e-10 * obj["determinant"]
 
+    @pytest.mark.parametrize("group, cusps", [
+        ("thrice-punctured-sphere", 3), ("once-punctured-torus(3.47)", 1)])
+    def test_det_hyp_is_closed_form(self, group, cusps):
+        # determinant/det_hyp = e^{-m c} = 2^{3m/2} with the per-cusp
+        # constant c = -(3/2) log 2; the ratio of the printed doubles is
+        # taken exactly, so r^2/2^{3m} - 1 is twice its relative error
+        out = run_cli("det", "--group", group, "--cutoff", "8",
+                      "--t-max", "4")
+        assert out.returncode == 0
+        obj = json.loads(out.stdout)
+        r = Fraction(obj["determinant"]) / Fraction(obj["det_hyp"])
+        assert float(abs(r * r / 2 ** (3 * cusps) - 1)) / 2 <= 4e-16
+
     def test_truncation_refused(self):
         out = run_cli("det", "--group", "thrice-punctured-sphere",
                       "--cutoff", "6", "--t-max", "50")
@@ -230,6 +244,18 @@ class TestConfigAndEnvironment:
         assert run_cli(*argv).returncode == 2
         assert spaced.returncode == joined.returncode == 0
         assert spaced.stdout == joined.stdout
+
+    def test_flags_replace_config_list(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pinch_index": 0}))
+        argv = ["--config", str(cfg), "pinch-sweep", "--group",
+                "thrice-punctured-sphere", "--cutoff", "6", "--ell-num", "2"]
+        for flags, indices in (([], "0"), (["--pinch-index", "1"], "1"),
+                               (["--pinch-index", "1", "--pinch-index", "2"],
+                                "1,2")):
+            out = run_cli(*argv, *flags)
+            assert out.returncode == 0
+            assert "# pinch_indices: %s\n" % indices in out.stdout
 
     def test_missing_config_is_io_error(self):
         out = run_cli("--config", "/nonexistent/cfg.json", "selfcheck")
@@ -383,8 +409,14 @@ T_ITEMS = st.one_of(st.floats(), st.sampled_from(
 def test_trace_accepts_or_refuses_any_t(ts):
     """trace exits 0 or 2 on any --t list, without a warning or a NaN,
     and every refusal is one JSON object on stderr."""
-    argv = ["trace", "--group", "thrice-punctured-sphere", "--max-length",
-            "4", "--t=" + ",".join(map(repr, ts))]
+    accepts_or_refuses(["trace", "--group", "thrice-punctured-sphere",
+                        "--max-length", "4",
+                        "--t=" + ",".join(map(repr, ts))])
+
+
+def accepts_or_refuses(argv):
+    """cli.main(argv), run in process with warnings as errors, exits 0 or
+    2, writes no NaN, and a refusal is one JSON object on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -395,6 +427,22 @@ def test_trace_accepts_or_refuses_any_t(ts):
     if code:
         assert out.getvalue() == ""
         assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+
+@pytest.fixture(scope="module")
+def scatter_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scatter") / "model.json"
+    path.write_text(json.dumps(SCATTER_MODEL))
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(ts=st.lists(T_ITEMS, min_size=1, max_size=4))
+def test_scatter_check_accepts_or_refuses_any_t(scatter_model, ts):
+    """scatter-check exits 0 or 2 on any --t list, without a warning or
+    a NaN, and every refusal is one JSON object on stderr."""
+    accepts_or_refuses(["scatter-check", "--model", scatter_model,
+                        "--t=" + ",".join(map(repr, ts))])
 
 
 def test_bench_layer_names_resolve():

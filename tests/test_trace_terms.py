@@ -14,8 +14,11 @@ from cuspspec.fuchsian import (
     enumerate_length_spectrum,
 )
 from cuspspec.trace_terms import (
+    P_EXPANSION,
     ScatteringModel,
     cusp_term,
+    cusp_term_expansion,
+    expansion_value,
     hyperbolic_trace,
     identity_term,
     model_from_json,
@@ -139,7 +142,11 @@ class TestScatteringIdentity:
         with pytest.raises(DomainError):
             scattering_integral(m, 1.0)
 
-    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+    # also t outside [1e-20, 3000]: below it the integral drifts from the
+    # resonance sum, above it both sides are 0, and towards 1e300 the
+    # integrand overflows
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, 5e-324, 1e-60,
+                                   1e-21, 3000.5, 1e300])
     def test_non_finite_t_refused(self, t):
         m = ScatteringModel((), 3.0, 1.0)
         with pytest.raises(DomainError):
@@ -220,21 +227,22 @@ class TestHyperbolicTrace:
 class TestParabolicP:
     def test_asymptotic_full_ladder(self):
         t = 1e-3
-        rel = abs(parabolic_p(t) - parabolic_p_asymptotic(t, terms=5)) \
+        rel = abs(parabolic_p(t) - parabolic_p_asymptotic(t)) \
             / abs(parabolic_p(t))
         assert rel < 1e-6
 
     def test_asymptotic_two_terms_example(self):
+        # the leading log(t)/sqrt(t) term and the next two
         t = 1e-4
-        rel = abs(parabolic_p(t) - parabolic_p_asymptotic(t, terms=2)) \
+        rel = abs(parabolic_p(t) - expansion_value(P_EXPANSION[:3], t)) \
             / abs(parabolic_p(t))
         assert rel < 1e-3
 
     def test_ladder_improves_with_terms(self):
         t = 1e-2
         p = parabolic_p(t)
-        errs = [abs(p - parabolic_p_asymptotic(t, terms=k))
-                for k in (1, 3, 5)]
+        errs = [abs(p - expansion_value(P_EXPANSION[:n], t))
+                for n in (2, 4, 6)]
         assert errs[2] < errs[1] < errs[0]
 
     @pytest.mark.parametrize("t", [1e-10, 1e-4, 1e-3, 1e-2, 1.0, 8.0, 60.0])
@@ -256,6 +264,18 @@ class TestParabolicP:
                 * mp.re(mp.digamma(1 + 1j * r)), points)
         assert abs(parabolic_p(t) - ref) <= 1e-12 * abs(ref)
 
+    def test_cusp_term_ladder(self):
+        # the integer powers of -P/pi cancel e^{-t/4}/2 = 1/2 - t/8 + ...
+        # exactly; what is left matches cusp_term to O(t^{3/2} log t)
+        damp = {0.0: 0.5, 1.0: -0.125}
+        assert [-c / math.pi + damp[a] for a, k, c in P_EXPANSION
+                if a in damp] == [0.0, 0.0]
+        terms = cusp_term_expansion()
+        assert all(a % 1.0 for a, k, c in terms)
+        for t in (1e-6, 1e-3, 1e-2):
+            gap = abs(cusp_term(t) - expansion_value(terms, t))
+            assert gap <= 0.02 * t ** 1.5 * abs(math.log(t))
+
     def test_ladder_and_series_meet(self):
         # below t = 3e-7 P(t) is the small-t ladder, above it the series
         t = 3.0001e-7
@@ -267,8 +287,6 @@ class TestParabolicP:
             parabolic_p(0.0)
         with pytest.raises(DomainError):
             parabolic_p_asymptotic(2.0)
-        with pytest.raises(DomainError):
-            parabolic_p_asymptotic(0.5, terms=9)
 
 
 def _sphere():

@@ -2,10 +2,11 @@ import dataclasses
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from cuspspec import zeta_engine
+from conftest import engine_cusp_constant
 from cuspspec.cusp_model import CuspFamily
 from cuspspec.errors import (
     DomainError,
@@ -14,18 +15,24 @@ from cuspspec.errors import (
     TruncationError,
 )
 from cuspspec.fuchsian import builtin_group, enumerate_length_spectrum
+from cuspspec.trace_terms import (
+    CUSP_CONSTANT,
+    expansion_value,
+    heat_trace_expansion,
+    relative_heat_trace,
+)
 from cuspspec.zeta_engine import (
     ExpansionDescriptor,
     ZetaResult,
     max_t_for_cutoff,
     mellin_zeta_prime0,
     relative_determinant,
-    surface_expansion,
     xi_prime0,
 )
 
-# engine output for the per-cusp constant, frozen as a regression value;
-# the closed form -3/2 log 2 serves as the independent oracle
+# the Mellin engine's value of the per-cusp constant, frozen as a
+# regression pin of the engine; the mpmath continuation below and the
+# closed form -3/2 log 2 serve as the independent oracles
 FROZEN_CUSP_CONSTANT = -1.0397207707791534
 CLOSED_FORM_CUSP_CONSTANT = -1.5 * math.log(2.0)
 
@@ -158,11 +165,47 @@ class TestMellinEngine:
 
 class TestCuspConstant:
     def test_regression_value(self):
-        zeta_engine._xi_constant.cache_clear()
-        assert abs(xi_prime0(1) - FROZEN_CUSP_CONSTANT) < 1e-9
+        zp = engine_cusp_constant().zeta_prime_zero
+        assert abs(zp - FROZEN_CUSP_CONSTANT) < 1e-9
+
+    def test_engine_within_its_error(self):
+        res = engine_cusp_constant()
+        gap = abs(res.zeta_prime_zero - CUSP_CONSTANT)
+        assert gap <= res.small_t_error + res.large_t_error
+
+    def test_mpmath_oracle(self):
+        # c = -zeta_P'(0)/pi + (3/2) log 2, where zeta_P(s) =
+        # int_R (1/4+r^2)^{-s} Re psi(1+ir) dr = -B'(s)/2 + H(s) with
+        # B(s) = sqrt(pi) Gamma(s-1/2)/Gamma(s) 2^{2s-1} and H(s) the
+        # integral against h(r) = Re psi(1+ir) - log(1/4+r^2)/2; h is
+        # integrated on dyadic panels up to R = 2^30, beyond which
+        # h ~ -1/(24 r^2) gives the tail of H'(0) in closed form (an
+        # infinite last panel silently returns a wrong H(0))
+        with mp.workdps(20):
+            def h(r):
+                return (mp.re(mp.digamma(1 + 1j * r))
+                        - mp.log(mp.mpf(1) / 4 + r * r) / 2)
+
+            def b(s):
+                return (mp.sqrt(mp.pi) * mp.gamma(s - mp.mpf(1) / 2)
+                        * mp.rgamma(s) * mp.mpf(2) ** (2 * s - 1))
+
+            big = mp.mpf(2) ** 30
+            panels = [mp.mpf(0)] + [mp.mpf(2) ** j for j in range(-4, 31)]
+            h_0 = 2 * mp.quad(h, panels) - 1 / (12 * big)
+            dh_0 = (-2 * mp.quad(lambda r: mp.log(mp.mpf(1) / 4 + r * r)
+                                 * h(r), panels)
+                    + (mp.log(big) + 1) / (6 * big))
+            zeta_p = -mp.diff(b, 0, 2) / 2 + dh_0
+            ref = -zeta_p / mp.pi + 3 * mp.log(2) / 2
+        assert abs(h_0) < 1e-15
+        assert abs(CUSP_CONSTANT - ref) < 1e-15
 
     def test_closed_form_oracle(self):
-        assert abs(xi_prime0(1) - CLOSED_FORM_CUSP_CONSTANT) < 1e-9
+        assert xi_prime0(1) == CUSP_CONSTANT == CLOSED_FORM_CUSP_CONSTANT
+        for m in range(1, 7):
+            assert abs(math.exp(-xi_prime0(m)) / 2.0 ** (1.5 * m) - 1.0) \
+                < 4e-16
 
     def test_linear_in_cusp_count(self):
         assert abs(xi_prime0(3) - 3.0 * xi_prime0(1)) < 1e-14
@@ -175,25 +218,32 @@ class TestCuspConstant:
 
 class TestSurfaceExpansion:
     def test_matches_trace_at_small_t(self):
-        from cuspspec.trace_terms import relative_heat_trace
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 8.0, 8)
         fam = CuspFamily((1.0, 2.0, 1.5))
-        desc = surface_expansion(g.surface, fam)
+        terms = heat_trace_expansion(g.surface, fam)
         for t in (1e-2, 1e-3):
             theta = relative_heat_trace(g.surface, spec, fam, t)
-            approx = float(desc.evaluate(t))
+            approx = float(expansion_value(terms, t))
             assert abs(theta - approx) < 5e-2 * abs(theta) * t ** 0.5 + 1e-4
 
     def test_h_counts_components(self):
+        # relative_determinant subtracts h = 1, the one component of the
+        # surface, as its large-t constant
         g = builtin_group("thrice-punctured-sphere")
-        desc = surface_expansion(g.surface, CuspFamily((1.0, 1.0, 1.0)))
-        assert desc.h == 1.0
+        spec = enumerate_length_spectrum(g, 6.0, 6)
+        fam = CuspFamily((1.0, 1.0, 1.0))
+        desc = ExpansionDescriptor(heat_trace_expansion(g.surface, fam),
+                                   h=1.0)
+        ref = mellin_zeta_prime0(
+            lambda t: relative_heat_trace(g.surface, spec, fam, t), desc,
+            2.0, t_lo=1e-3)
+        assert relative_determinant(g.surface, spec, fam, 2.0).zeta == ref
 
     def test_leading_term_is_area_over_4pi(self):
         g = builtin_group("thrice-punctured-sphere")
-        desc = surface_expansion(g.surface, CuspFamily((1.0, 1.0, 1.0)))
-        a, k, c = desc.terms[0]
+        a, k, c = heat_trace_expansion(g.surface,
+                                       CuspFamily((1.0, 1.0, 1.0)))[0]
         assert (a, k) == (-1.0, 0)
         assert abs(c - g.surface.area / (4.0 * math.pi)) < 1e-14
 
