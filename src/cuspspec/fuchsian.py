@@ -8,12 +8,13 @@ necklace representatives) with the free-reduction adjacency constraint,
 which visits every primitive conjugacy class exactly once.  The words of
 every length up to the word radius come from one depth-first walk of the
 constrained prenecklace tree (Cattell, Ruskey, Sawada, Serra, Miers,
-J. Algorithms 2000), taken in blocks of up to BLOCK nodes of one depth:
-one array step finds the children of a whole block, multiplies each
-parent's product by the child's letter (one 2x2 multiply per node, in the
-order of a left-to-right product) and emits the Lyndon children.  A
-radius whose tree must hold more than NODE_BUDGET nodes, by a counting
-bound, is refused before the walk starts.
+J. Algorithms 2000), taken in blocks of up to BLOCK nodes of one depth.
+Words are packed into integers.  One array step per letter finds a
+block's children ending in it and multiplies their parents' products by
+its matrix (one 2x2 multiply per inner node, in left-to-right order); at
+the word radius it forms only the Lyndon children's traces.  A radius
+whose tree must hold more than NODE_BUDGET nodes, by a counting bound, is
+refused before the walk starts.
 
 Completeness is only guaranteed within the explored word ball; the
 output records the word radius so callers can reason about truncation.
@@ -21,6 +22,7 @@ output records the word radius so callers can reason about truncation.
 
 import math
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -43,12 +45,11 @@ MERGE_TOL = 1e-9
 # prenecklace tree nodes the one walk may visit, each counted once,
 # before it gives up
 NODE_BUDGET = 20_000_000
-# tree nodes expanded together by one array step of the walk.  At 512
-# the per-step overhead is small against the arithmetic (radius 14 on
-# the sphere: 0.11 s at 128, 0.063 s at 512, 0.054 s at 1024 on a 2-core
-# Xeon) while the walk allocates at most 0.8 MB; larger blocks buy
-# little time for more memory
-BLOCK = 512
+# tree nodes expanded together by one array step of the walk.  Radius 14
+# on the sphere takes 0.12 s at 1024, 0.086 s at 2048 and 0.073 s at 4096
+# on a 2-core Xeon, while its walk allocates at most 1.0, 1.7 and 3.1 MB
+# (tracemalloc peak); larger blocks buy little time for more memory
+BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,10 @@ def builtin_group(name):
         # trace triple (tau, tau, z) on the Markov-type surface
         # x^2 + y^2 + z^2 = xyz; smaller root keeps z in (2, 4]
         z = (tau * tau - tau * math.sqrt(tau * tau - 8.0)) / 2.0
+        # z - 2 is about 4 / tau^2, and z carries rounding of eps * tau^2
+        if not z - 2.0 > 64.0 * sys.float_info.epsilon * tau * tau:
+            raise DomainError("once-punctured torus trace %r is too large: "
+                              "its third trace is lost to rounding" % tau)
         eta = (-z + math.sqrt(z * z - 4.0)) / 2.0
         a = Mobius(tau, 1.0, -1.0, 0.0)
         b = Mobius(0.0, eta, -1.0 / eta, tau)
@@ -235,8 +240,8 @@ def enumerate_length_spectrum(group, max_length, max_word_length=None):
     if max_word_length < 1:
         raise DomainError("max_word_length must be >= 1")
     nodes = NODE_BUDGET
-    mats = np.array([(g.a, g.b, g.c, g.d) for g in _letters(group)])
-    k = len(mats)
+    letters = [(g.a, g.b, g.c, g.d) for g in _letters(group)]
+    k = len(letters)
     if _fewest_nodes(k, max_word_length, nodes) > nodes:
         raise BudgetExceededError("word enumeration budget exhausted")
     # |trace| / 2 above this gives a length above max_length; the slack
@@ -246,68 +251,73 @@ def enumerate_length_spectrum(group, max_length, max_word_length=None):
     except OverflowError:
         top = math.inf
     lengths = array("d")
-    stack = []
 
-    def keep(half):
-        # the lengths of the hyperbolic classes of these |trace| / 2, up
-        # to max_length
-        for h in half[(half > 1.0 + 1e-12) & (half <= top)].tolist():
-            ell = 2.0 * math.acosh(h)
-            if ell <= max_length:
-                lengths.append(ell)
-
-    def push(word, p, a, b, c, d):
-        for s in range(0, len(p), BLOCK):
-            t = slice(s, s + BLOCK)
-            stack.append((word[t], p[t], a[t], b[t], c[t], d[t]))
+    def keep(trace):
+        # the lengths of these traces' hyperbolic classes, to max_length
+        half = np.abs(trace) / 2.0
+        half = half[(half > 1.0 + 1e-12) & (half <= top)]
+        ell = 2.0 * np.fromiter(map(math.acosh, half.tolist()), float)
+        lengths.frombytes(ell[ell <= max_length].tobytes())
 
     # the one-letter words are Lyndon, and each product is its own matrix
     nodes -= k
     if nodes < 0:
         raise BudgetExceededError("word enumeration budget exhausted")
-    a, b, c, d = mats.T
-    keep(np.abs(a + d) / 2.0)
-    letter = np.arange(k)
+    a, b, c, d = np.array(letters).T
+    keep(a + d)
+    # a word packs bits to a letter, its first letter highest; within the
+    # budget it fits 63 bits unless k = 2, where each word repeats a letter
+    bits = (k - 1).bit_length()
+    mask = (1 << bits) - 1
+    stack = []
     if max_word_length > 1:
-        push(letter.astype(np.min_scalar_type(k - 1))[:, None],
-             np.ones(k, dtype=int), a, b, c, d)
+        stack.append((1, np.arange(k), np.ones(k, dtype=int), a, b, c, d))
     while stack:
-        # a block of prefixes word[:, :m] of periods p and products
-        # [[a, b], [c, d]]; expand it to all of its children at once
-        word, p, a, b, c, d = stack.pop()
-        n, m = word.shape
-        forced = word[np.arange(n), m - p][:, None]
-        # a letter may not follow its inverse
-        grow = (letter >= forced) & (letter != word[:, m - 1:] ^ 1)
-        nodes -= np.count_nonzero(grow)
+        # a block of prefixes of m letters, their codes, periods p and
+        # products [[a, b], [c, d]]; expand it letter by letter
+        m, code, p, a, b, c, d = stack.pop()
+        forced = (code >> bits * (p - 1)) & mask
+        first, last = code >> bits * (m - 1), code & mask
+        traces, kids = [], []
+        for j, (e, f, g, h) in enumerate(letters):
+            # a letter may not follow its inverse
+            grow = (last != j ^ 1) & (forced <= j)
+            nodes -= np.count_nonzero(grow)
+            # a letter above the forced one makes the period m + 1, so the
+            # child is Lyndon; it is emitted unless its last letter cancels
+            # its first
+            emit = grow & (forced < j) & (first != j ^ 1)
+            if m + 1 == max_word_length:
+                i = np.flatnonzero(emit)
+                traces.append((a[i] * e + b[i] * g) + (c[i] * f + d[i] * h))
+                continue
+            i = np.flatnonzero(grow)
+            a0, b0, c0, d0 = a[i], b[i], c[i], d[i]
+            a1, d1 = a0 * e + b0 * g, c0 * f + d0 * h
+            traces.append((a1 + d1)[emit[i]])
+            kids.append(((code[i] << bits) | j,
+                         np.where(forced[i] < j, m + 1, p[i]),
+                         a1, a0 * f + b0 * h, c0 * e + d0 * g, d1))
         if nodes < 0:
             raise BudgetExceededError("word enumeration budget exhausted")
-        # a letter above the forced one makes the period m + 1, so the
-        # child is Lyndon; it is emitted unless its last letter cancels
-        # its first
-        lyndon = (letter > forced) & (letter != word[:, :1] ^ 1)
-        row, j = np.nonzero(grow)
-        e, f, g, h = mats[j].T
-        a0, b0, c0, d0 = a[row], b[row], c[row], d[row]
-        a1, d1 = a0 * e + b0 * g, c0 * f + d0 * h
-        emit = lyndon[row, j]
-        keep(np.abs(a1[emit] + d1[emit]) / 2.0)
-        if m + 1 < max_word_length:
-            push(np.concatenate((word[row], j[:, None].astype(word.dtype)),
-                                axis=1),
-                 np.where(j > forced[row, 0], m + 1, p[row]),
-                 a1, a0 * f + b0 * h, c0 * e + d0 * g, d1)
+        keep(np.concatenate(traces))
+        if kids:
+            # copies, not views, so that each block is freed once expanded
+            cols = [np.concatenate(x) for x in zip(*kids)]
+            for s in range(0, len(cols[0]), BLOCK):
+                stack.append((m + 1, *(x[s:s + BLOCK].copy() for x in cols)))
 
-    # sort in place, so that no Python float is made per length
-    np.frombuffer(lengths).sort()
+    ell = np.frombuffer(lengths)
+    ell.sort()
+    # a run of lengths, each within MERGE_TOL of the one before, splits
+    # into entries greedily: a head and the later lengths within MERGE_TOL
+    heads = (np.flatnonzero(np.diff(ell) > MERGE_TOL) + 1).tolist()
     entries = []
-    i = 0
-    while i < len(lengths):
-        j = i
-        while j + 1 < len(lengths) and lengths[j + 1] - lengths[i] <= MERGE_TOL:
-            j += 1
-        entries.append(SpectrumEntry(lengths[i], j - i + 1))
-        i = j + 1
+    for i, end in zip([0] + heads, heads + [len(ell)]):
+        while i < end:
+            j = i + int(np.searchsorted(ell[i:end] - ell[i], MERGE_TOL,
+                                        "right"))
+            entries.append(SpectrumEntry(float(ell[i]), j - i))
+            i = j
     return LengthSpectrum(tuple(entries), float(max_length), group.surface,
                           word_radius=max_word_length)
-

@@ -351,6 +351,11 @@ class TestErrorChannel:
         ["--config", "{config-list-max-length}", "spectrum", "--group",
          "thrice-punctured-sphere"],
         ["selfcheck", "--config"],
+        # the construction's third trace z = (tau^2 - tau sqrt(tau^2 - 8))/2
+        # cancels: z - 2 is about 4 / tau^2
+        *(["spectrum", "--group", "once-punctured-torus(%s)" % tau,
+           "--max-length", "6"] for tau in ("1e4", "1e5", "1e9", "1e30",
+                                             "1e200")),
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]
@@ -378,6 +383,20 @@ class TestErrorChannel:
         assert out.returncode == 3
         assert json.loads(out.stderr)["error"] == "BudgetExceededError"
         assert out.stdout == ""
+
+    @pytest.mark.parametrize("tau", [3.47, 40.0, 400.0])
+    def test_torus_trace_accepted(self, tau):
+        # the short curve of trace z has length 2 acosh(z / 2), with z
+        # from the cancellation-free form 4 / (1 + sqrt(1 - 8 / tau^2));
+        # it is looked up, since at tau = 400 rounding still makes the
+        # parabolic commutator read as a shorter geodesic
+        out = run_cli("spectrum", "--group", "once-punctured-torus(%r)" % tau,
+                      "--max-length", "6", "--word-radius", "4")
+        assert out.returncode == 0 and out.stderr == ""
+        z = 4.0 / (1.0 + math.sqrt(1.0 - 8.0 / tau ** 2))
+        short = 2.0 * math.acosh(z / 2.0)
+        assert any(abs(float(r["length"]) / short - 1.0) < 1e-6
+                   and r["mult"] == "2" for r in csv_records(out.stdout))
 
     def test_det_nan_t_max_refused(self):
         out = run_cli("det", "--group", "thrice-punctured-sphere",

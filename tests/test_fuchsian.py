@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from cuspspec.errors import (
     UnknownGroupError,
 )
 from cuspspec.fuchsian import (
+    GroupPresentation,
     LengthSpectrum,
     Mobius,
     SpectrumEntry,
@@ -252,6 +254,45 @@ class TestEnumeration:
         spec = enumerate_length_spectrum(g, max_length, 10)
         entries, _ = _reference_walk(g, max_length, 10)
         assert [(e.length, e.mult) for e in spec.entries] == entries
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_tiny_blocks_match_reference_walk(self, name, monkeypatch):
+        # blocks of 5 nodes split the children of every letter across
+        # blocks; at radius 2 the first block is already at leaf depth
+        monkeypatch.setattr(fuchsian, "BLOCK", 5)
+        g = builtin_group(name)
+        for radius in (1, 2, 3, 4, 10):
+            spec = enumerate_length_spectrum(g, 40.0, radius)
+            entries, _ = _reference_walk(g, 40.0, radius)
+            assert [(e.length, e.mult) for e in spec.entries] == entries
+
+    @pytest.mark.parametrize("gens, radius", [
+        # two letters of one bit each: words of 100 letters overflow the
+        # packed code, which every word of one repeated letter survives
+        ((Mobius(2.0, 0.0, 0.0, 0.5),), 100),
+        # six letters in three bits each, two codes unused
+        ((Mobius(1.0, 2.0, 0.0, 1.0), Mobius(1.0, 0.0, 2.0, 1.0),
+          Mobius(3.0, 2.0, 4.0, 3.0)), 5),
+    ])
+    def test_other_letter_counts_match_reference_walk(self, gens, radius):
+        g = GroupPresentation(gens, "free")
+        spec = enumerate_length_spectrum(g, 12.0, radius)
+        entries, _ = _reference_walk(g, 12.0, radius)
+        assert entries
+        assert [(e.length, e.mult) for e in spec.entries] == entries
+
+    def test_walk_memory_bounded(self):
+        # a deterministic stand-in for the spectrum job's peak RSS: 1.7 MB
+        # at BLOCK 2048, 2.2 MB when the blocks of one depth were views
+        # that kept all of that depth's children alive
+        g = builtin_group("thrice-punctured-sphere")
+        tracemalloc.start()
+        try:
+            enumerate_length_spectrum(g, 14.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0e6
 
     @pytest.mark.parametrize("name", GROUPS[::2])
     def test_budget_counts_every_node_once(self, name, monkeypatch):
