@@ -31,6 +31,9 @@ EXIT_CODES = {PreconditionError: EXIT_PRECONDITION,
               NumericsError: EXIT_NUMERIC,
               OSError: EXIT_IO,
               json.JSONDecodeError: EXIT_IO}
+# pinch-sweep rows a --ell-num may ask for; a row holds about 0.7 KB
+# while the sweep runs, so 1e5 rows take about 100 MB
+MAX_ELL_NUM = 100_000
 
 
 def _fmt(x):
@@ -86,26 +89,20 @@ def _parse_floats(text):
 
 
 def _spectrum_args(args):
-    """The group, its length spectrum and the provenance lines that name
-    them."""
-    group = fuchsian.builtin_group(args.group)
+    """The length spectrum and the provenance lines that name it."""
     spec = fuchsian.enumerate_length_spectrum(
-        group, args.max_length, args.word_radius)
-    return group, spec, ["group: %s" % args.group,
-                         "max_length: %s" % _fmt(args.max_length),
-                         "word_radius: %d" % spec.word_radius]
+        fuchsian.builtin_group(args.group), args.max_length,
+        args.word_radius)
+    return spec, ["group: %s" % args.group,
+                  "max_length: %s" % _fmt(args.max_length),
+                  "word_radius: %d" % spec.word_radius]
 
 
-def _cusp_family(args, group):
-    cusps = group.surface.cusps
+def _cusp_family(args, spectrum):
+    """--cusp-starts, by default 1 for every cusp; theta checks the count."""
     if args.cusp_starts:
-        starts = _parse_floats(args.cusp_starts)
-    else:
-        starts = [1.0] * cusps
-    if len(starts) != cusps:
-        raise DomainError("--cusp-starts needs %d heights (one per cusp), "
-                          "got %d" % (cusps, len(starts)))
-    return cusp_model.CuspFamily(tuple(starts))
+        return cusp_model.CuspFamily(tuple(_parse_floats(args.cusp_starts)))
+    return cusp_model.CuspFamily((1.0,) * spectrum.surface.cusps)
 
 
 def _csv(args, provenance, columns, rows):
@@ -119,7 +116,7 @@ def _csv(args, provenance, columns, rows):
 
 
 def cmd_spectrum(args):
-    _, spec, provenance = _spectrum_args(args)
+    spec, provenance = _spectrum_args(args)
     if args.format == "json":
         obj = dataclasses.asdict(spec)
         obj = {k: obj[k] for k in ("surface", "cutoff", "entries",
@@ -137,9 +134,9 @@ def cmd_spectrum(args):
 
 def cmd_trace(args):
     ts = np.array(_parse_floats(args.t))
-    group, spec, provenance = _spectrum_args(args)
-    fam = _cusp_family(args, group)
-    cols = trace_terms.heat_trace_columns(group.surface, spec, fam, ts)
+    spec, provenance = _spectrum_args(args)
+    fam = _cusp_family(args, spec)
+    cols = trace_terms.heat_trace_columns(spec, fam, ts)
     _write(args.out, _csv(
         args, provenance + [
             "cusp_starts: %s" % ",".join(_fmt(a) for a in fam.starts)],
@@ -150,10 +147,10 @@ def cmd_trace(args):
 
 
 def cmd_det(args):
-    group, spec, _ = _spectrum_args(args)
-    fam = _cusp_family(args, group)
+    spec, _ = _spectrum_args(args)
     res = zeta_engine.relative_determinant(
-        group.surface, spec, fam, args.t_max, eps_trunc=args.eps_trunc)
+        spec, _cusp_family(args, spec), args.t_max,
+        eps_trunc=args.eps_trunc)
     obj = dict(dataclasses.asdict(res.zeta), det_hyp=res.det_hyp)
     _write(args.out, _json_dump(obj) + "\n")
     return EXIT_OK
@@ -186,8 +183,8 @@ def cmd_pinch_sweep(args):
     if args.ell_grid:
         grid = _parse_floats(args.ell_grid)
     else:
-        if args.ell_num < 1:
-            raise DomainError("--ell-num must be at least 1")
+        if not 1 <= args.ell_num <= MAX_ELL_NUM:
+            raise DomainError("--ell-num must lie in [1, %d]" % MAX_ELL_NUM)
         if not all(math.isfinite(x) and x > 0
                    for x in (args.ell_start, args.ell_stop)):
             raise DomainError("--ell-start and --ell-stop must be finite "
@@ -195,10 +192,9 @@ def cmd_pinch_sweep(args):
         grid = list(np.geomspace(args.ell_start, args.ell_stop,
                                  args.ell_num))
         grid.sort(reverse=True)
-    group, spec, provenance = _spectrum_args(args)
+    spec, provenance = _spectrum_args(args)
     indices = args.pinch_index if args.pinch_index else [0]
-    rows = degeneration.pinch_sweep(
-        spec, indices, grid, args.baseline, group.surface)
+    rows = degeneration.pinch_sweep(spec, indices, grid, args.baseline)
     _write(args.out, _csv(
         args, provenance + [
             "pinch_indices: %s" % ",".join(str(i) for i in indices),
@@ -243,20 +239,19 @@ def _selfcheck_cusp():
     a, t = math.e, 1.0
 
     def integrand(y):
-        return np.array([
-            (cusp_model.cusp_heat_kernel(a, yi, yi, t)
-             - cusp_model.cusp_heat_kernel(1.0, yi, yi, t)) / (yi * yi)
-            for yi in np.atleast_1d(y)])
+        return (cusp_model.cusp_heat_kernel(a, y, y, t)
+                - cusp_model.cusp_heat_kernel(1.0, y, y, t)) / (y * y)
 
     # the integrand has a kink at y = a; split there
     val = (specfun.integrate(integrand, 1.0, a).value
            + specfun.integrate(integrand, a, np.inf).value)
-    return abs(val - cusp_model.relative_cusp_trace(a, t)) < 1e-8
+    cut = trace_terms.cut_height_term(cusp_model.CuspFamily((a,)), t)
+    return abs(val + cut) < 1e-8
 
 
 def _selfcheck_scatter():
     model = trace_terms.ScatteringModel(
-        ((complex(-0.3, 1.0), 1), (complex(-0.3, -1.0), 1)), 2.0, 1.0)
+        ((complex(-0.3, 1.0), 1), (complex(-0.3, -1.0), 1)), 2.0)
     a = trace_terms.scattering_integral(model, 1.0)
     b = trace_terms.scattering_erfc_sum(model, 1.0)
     return abs(a - b) <= 1e-6 * (1.0 + abs(b))
@@ -283,8 +278,8 @@ class _Append(argparse.Action):
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a DomainError, so it reaches
     the one JSON error channel; subparsers are built from this class.
-    An option whose destination `config` names takes its default from
-    there (a list of values for a repeatable option)."""
+    An option that `config` names by one of its _config_keys takes its
+    default from there (a list of values for a repeatable option)."""
 
     config = {}
 
@@ -293,8 +288,9 @@ class _Parser(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        if action.dest in self.config:
-            value = self.config[action.dest]
+        keys = [k for k in _config_keys(action) if k in self.config]
+        if keys:
+            value = self.config[keys[0]]
             if kwargs.get("action") is not _Append:
                 action.default = _config_value(action, value)
             else:
@@ -302,6 +298,12 @@ class _Parser(argparse.ArgumentParser):
                     value if isinstance(value, list) else [value])]
             action.required = False
         return action
+
+
+def _config_keys(action):
+    """An option's --config keys: its destination and flags, '-' as '_'."""
+    return [action.dest] + [s.lstrip("-").replace("-", "_")
+                            for s in action.option_strings]
 
 
 def _config_value(action, value):
@@ -371,6 +373,12 @@ def build_parser(config=None):
     sp.add_argument("--out", default=None)
 
     add("selfcheck", cmd_selfcheck)
+    known = {k for sp in sub.choices.values() for a in sp._actions
+             if a.default is not argparse.SUPPRESS for k in _config_keys(a)}
+    for key in config or {}:
+        if key not in known:
+            raise DomainError("--config key %r is not an option of any "
+                              "subcommand" % key)
     return p
 
 

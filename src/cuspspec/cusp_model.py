@@ -1,17 +1,20 @@
-"""Model cusp operators on [a, inf) x S^1 and their exact heat traces.
+"""Model cusp operators on [a, inf) x S^1: cut heights and heat kernel.
 
 The model operator with Dirichlet condition at y = a acts on the zero
 Fourier mode of the cusp; its heat kernel is an explicit difference of
-Gaussians in log y.  Only traces of *differences* of two model operators
-are exposed: a single model operator is not trace class.
+Gaussians in log y.  A single model operator is not trace class; the
+trace of the difference of two, cut at a and at 1, is the cut-height
+column of the relative heat trace (trace_terms.cut_height_term).
 """
 
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
 
-__all__ = ["CuspFamily", "cusp_heat_kernel", "relative_cusp_trace"]
+__all__ = ["CuspFamily", "cusp_heat_kernel"]
 
 
 @dataclass(frozen=True)
@@ -41,32 +44,21 @@ def cusp_heat_kernel(a, y, yp, t):
 
     for y, y' > a, and identically 0 once either point lies at or below
     the cut height a (the kernel vanishes there together with the
-    Dirichlet extension by zero).
+    Dirichlet extension by zero).  y and y' are scalars (a float out) or
+    arrays of one shape (an array of that shape out).
     """
     if not (math.isfinite(a) and a >= 1.0):
         raise DomainError("cut height a must be finite and >= 1")
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError("cusp_heat_kernel requires a finite t > 0")
-    if not (math.isfinite(y) and math.isfinite(yp) and y > 0.0 and yp > 0.0):
+    y, yp = np.asarray(y, dtype=float), np.asarray(yp, dtype=float)
+    if y.shape != yp.shape:
+        raise DomainError("cusp_heat_kernel requires y, y' of one shape")
+    if not np.all(np.isfinite(y) & np.isfinite(yp) & (y > 0.0) & (yp > 0.0)):
         raise DomainError("cusp_heat_kernel requires finite y, y' > 0")
-    if y <= a or yp <= a:
-        return 0.0
     pref = math.exp(-t / 4.0) / math.sqrt(4.0 * math.pi * t)
-    u = math.log(y / yp)
-    v = math.log(y * yp) - 2.0 * math.log(a)
-    return (pref * math.sqrt(y * yp)
-            * (math.exp(-u * u / (4.0 * t)) - math.exp(-v * v / (4.0 * t))))
-
-
-def relative_cusp_trace(a, t):
-    """Tr(e^{-t D_a} - e^{-t D_1}) = -(4 pi t)^{-1/2} e^{-t/4} log a.
-
-    Closed form for the trace of the difference of the two Dirichlet
-    model heat operators with cuts at a and at 1; linear in log a.
-    """
-    if not (math.isfinite(a) and a >= 1.0):
-        raise DomainError("cut height a must be finite and >= 1")
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError("relative_cusp_trace requires a finite t > 0")
-    return -math.exp(-t / 4.0) / math.sqrt(4.0 * math.pi * t) * math.log(a)
-
+    u = np.log(y / yp)
+    v = np.log(y * yp) - 2.0 * math.log(a)
+    out = np.where((y > a) & (yp > a), pref * np.sqrt(y * yp) * (
+        np.exp(-u * u / (4.0 * t)) - np.exp(-v * v / (4.0 * t))), 0.0)
+    return float(out) if out.ndim == 0 else out

@@ -81,9 +81,9 @@ def wolpert_asymptotic(ell):
     return math.pi ** 2 / (6.0 * ell) + 0.5 * math.log(-math.expm1(-ell))
 
 
-def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha,
-                surface):
-    """One PinchSweepRow per value of a nonempty, decreasing ell grid.
+def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha):
+    """One PinchSweepRow per value of a nonempty, decreasing ell grid,
+    for the surface of the base spectrum.
 
     The small eigenvalues are synthetic: one eigenvalue ell^2 per pinched
     geodesic.  True small eigenvalues of a degenerating surface require a
@@ -102,7 +102,7 @@ def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha,
         if not 0 <= i < len(base.entries):
             raise DomainError("pinch index %d out of range" % i)
     num_pinched = sum(base.entries[i].mult for i in indices)
-    mc = zeta_engine.xi_prime0(surface.cusps)
+    mc = zeta_engine.xi_prime0(base.surface.cusps)
     rows = []
     for ell in grid:
         eigs = [ell * ell] * num_pinched

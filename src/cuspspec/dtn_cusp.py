@@ -9,7 +9,7 @@ multiplier is s-1 on one side of the critical line and -s on the other.
 import math
 
 from . import specfun
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 __all__ = ["n2_symbol", "n2_zero_symbol"]
 
@@ -22,17 +22,6 @@ def n2_zero_symbol(n, beta):
     if not (math.isfinite(beta) and beta >= 1.0):
         raise DomainError("n2_zero_symbol requires a finite beta >= 1")
     return 2.0 * math.pi * abs(n) * beta * beta
-
-
-def _k_ratio_real(nu_plus, nu_minus, x):
-    """K_{nu_plus}(x) / K_{nu_minus}(x) for real orders, scaled evaluation."""
-    # K_{-nu} = K_nu; scaled values cancel the e^{-x} factor so large x
-    # (big |n| or beta) stays representable
-    kp = specfun.bessel_k_scaled(abs(nu_plus), x)
-    km = specfun.bessel_k_scaled(abs(nu_minus), x)
-    if km == 0.0:
-        raise SingularityError("K_{s-1/2}(%g) vanished" % x)
-    return kp / km
 
 
 def n2_symbol(s, n, beta):
@@ -56,4 +45,7 @@ def n2_symbol(s, n, beta):
             return -s
         raise DomainError("mode 0 has no DtN multiplier on the critical line")
     x = n2_zero_symbol(n, beta)
-    return -s + x * _k_ratio_real(s + 0.5, s - 0.5, x)
+    # K_{-nu} = K_nu; scaled values cancel the e^{-x} factor so large x
+    # (big |n| or beta) stays representable, and e^x K_nu(x) > 0 there
+    return -s + x * (specfun.bessel_k_scaled(abs(s + 0.5), x)
+                     / specfun.bessel_k_scaled(abs(s - 0.5), x))

@@ -34,10 +34,6 @@ class OverflowRangeError(NumericsError):
     """A scaled evaluation would exceed the representable range."""
 
 
-class SingularityError(NumericsError):
-    """Evaluation hit a zero of a function appearing in a denominator."""
-
-
 class BudgetExceededError(NumericsError):
     """Enumeration outgrew its configured node budget."""
 

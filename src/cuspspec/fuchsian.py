@@ -109,7 +109,6 @@ class SurfaceData:
 @dataclass(frozen=True)
 class GroupPresentation:
     generators: tuple
-    name: str
     surface: SurfaceData = None
 
     def __post_init__(self):
@@ -164,7 +163,7 @@ def builtin_group(name):
     """
     if name == "thrice-punctured-sphere":
         gens = (Mobius(1.0, 2.0, 0.0, 1.0), Mobius(1.0, 0.0, 2.0, 1.0))
-        return GroupPresentation(gens, name, SurfaceData(genus=0, cusps=3))
+        return GroupPresentation(gens, SurfaceData(genus=0, cusps=3))
     m = _TORUS_RE.match(name)
     if m:
         try:
@@ -184,7 +183,7 @@ def builtin_group(name):
         eta = (-z + math.sqrt(z * z - 4.0)) / 2.0
         a = Mobius(tau, 1.0, -1.0, 0.0)
         b = Mobius(0.0, eta, -1.0 / eta, tau)
-        return GroupPresentation((a, b), name, SurfaceData(genus=1, cusps=1))
+        return GroupPresentation((a, b), SurfaceData(genus=1, cusps=1))
     raise UnknownGroupError("unknown group %r" % name)
 
 

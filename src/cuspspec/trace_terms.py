@@ -25,8 +25,8 @@ __all__ = [
     "P_EXPANSION", "expansion_value", "CUSP_CONSTANT",
     "parabolic_p", "parabolic_p_asymptotic", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
-    "heat_trace_columns", "relative_heat_trace", "cusp_term_expansion",
-    "heat_trace_expansion", "model_from_json",
+    "cut_height_term", "heat_trace_columns", "relative_heat_trace",
+    "cusp_term_expansion", "heat_trace_expansion", "model_from_json",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -57,23 +57,21 @@ def expansion_value(terms, t):
 class ScatteringModel:
     """Synthetic determinant of the scattering matrix.
 
-    phi(s) = phi_half * q^{s-1/2} * prod_rho ((s-1+conj(rho))/(s-rho))^{n(rho)}
+    phi(s) = +-q^{s-1/2} * prod_rho ((s-1+conj(rho))/(s-rho))^{n(rho)}
 
     resonances: list of (rho, order) with Re rho < 1/2, closed under
-    conjugation with equal orders so phi is real on the real axis.
+    conjugation with equal orders so phi is real on the real axis.  The
+    sign phi(1/2) = +-1 drops out of phi'/phi and is not stored.
     """
 
     resonances: tuple = field(default_factory=tuple)
     q: float = 1.0
-    phi_half: float = 1.0
 
     def __post_init__(self):
         res = tuple((complex(r), int(n)) for r, n in self.resonances)
         object.__setattr__(self, "resonances", res)
         if not (math.isfinite(self.q) and self.q > 0.0):
             raise DomainError("ScatteringModel.q must be finite and positive")
-        if self.phi_half not in (1.0, -1.0):
-            raise DomainError("phi_half must be +1 or -1")
         bag = {}
         for rho, n in res:
             if n == 0:
@@ -358,25 +356,32 @@ def scattering_erfc_sum(model, t):
     return out + 0.25 * damp * acc.real
 
 
-def heat_trace_columns(surface, spectrum, cusp_starts, t):
-    """The four terms of the geometric-side relative heat trace against
-    the reference model operator with cut heights cusp_starts, each of
-    the shape of t: identity_term, hyperbolic_trace, m cusp_term(t) and
-    the cut-height Gaussian e^{-t/4}/sqrt(4 pi t) * sum_j log a_j.
+def cut_height_term(cusp_starts, t):
+    """e^{-t/4}/sqrt(4 pi t) * sum_j log a_j, the trace of the model
+    operators cut at 1 minus those cut at the heights a_j (criterion 1)."""
+    t, shape = _t_array(t, "cut_height_term")
+    out = np.exp(-t / 4.0) / np.sqrt(4.0 * math.pi * t) * cusp_starts.log_sum
+    return _shaped(out, shape)
+
+
+def heat_trace_columns(spectrum, cusp_starts, t):
+    """The four terms of the geometric-side relative heat trace of the
+    spectrum's surface against the reference model operator with cut
+    heights cusp_starts, each of the shape of t: identity_term,
+    hyperbolic_trace, m cusp_term(t) and cut_height_term.
     """
+    surface = spectrum.surface
     if surface.cusps != len(cusp_starts.starts):
-        raise DomainError("cusp count mismatch between surface and starts")
-    ident = identity_term(surface.area, t)  # refuses a bad t first
-    flat, shape = _t_array(t, "heat_trace_columns")
-    cut = np.exp(-flat / 4.0) / np.sqrt(4.0 * math.pi * flat)
-    return (ident, hyperbolic_trace(spectrum, t),
-            surface.cusps * cusp_term(t),
-            _shaped(cut * cusp_starts.log_sum, shape))
+        raise DomainError("%d cut heights for a surface with %d cusps"
+                          % (len(cusp_starts.starts), surface.cusps))
+    return (identity_term(surface.area, t),  # refuses a bad t first
+            hyperbolic_trace(spectrum, t),
+            surface.cusps * cusp_term(t), cut_height_term(cusp_starts, t))
 
 
-def relative_heat_trace(surface, spectrum, cusp_starts, t):
+def relative_heat_trace(spectrum, cusp_starts, t):
     """theta(t), the sum of :func:`heat_trace_columns`."""
-    return sum(heat_trace_columns(surface, spectrum, cusp_starts, t))
+    return sum(heat_trace_columns(spectrum, cusp_starts, t))
 
 
 def _gaussian_expansion(x):
@@ -420,15 +425,15 @@ def heat_trace_expansion(surface, cusp_starts):
 def model_from_json(obj):
     """ScatteringModel from a parsed --model file; a missing key, a
     non-numeric field or a fractional order raises DomainError.  Keys
-    other than q, phi_half and resonances are ignored."""
+    other than q and resonances are ignored."""
     try:
         res = []
         for r in obj["resonances"]:
             if r["order"] != int(r["order"]):
                 raise ValueError("fractional order %r" % r["order"])
             res.append((complex(r["re"], r["im"]), int(r["order"])))
-        fields = {k: float(obj[k]) for k in ("q", "phi_half")}
+        q = float(obj["q"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError("malformed scattering model: %s: %s"
                           % (type(exc).__name__, exc)) from None
-    return ScatteringModel(resonances=res, **fields)
+    return ScatteringModel(resonances=res, q=q)

@@ -109,6 +109,10 @@ _MELLIN_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10,
 _TAIL_SPEC = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-10)
 # samples of theta on the last decade for the tail fit
 _TAIL_POINTS = 8
+# narrowest tail-fit window [1, t_max]; a decay fitted a few ulps wide is
+# rounding noise (the sphere's zeta'(0) reads -5.3623 at t_max = 1 + 2^-52
+# and -5.4665 from 1 + 1e-12 on)
+_TAIL_MIN_WIDTH = 1e-9
 
 
 def _tail_estimate(theta, h, t_max, min_decay):
@@ -151,7 +155,8 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
     called once per 15-node quadrature panel with the panel's nodes and
     must return an array of their shape.
     expansion: declared small-t behavior of theta plus the constant h.
-    t_max: end of the numerically trusted window (finite, >= 1).
+    t_max: end of the numerically trusted window (finite, at least
+    1 + _TAIL_MIN_WIDTH).
     t_lo: optional positive cut below which the expansion remainder is
     not evaluated numerically, for a theta whose remainder is lost to
     cancellation as t -> 0 (a surface trace of order area/(4 pi t)
@@ -160,8 +165,9 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
     charged to small_t_error.
     min_decay: lower bound demanded of the fitted tail decay rate.
     """
-    if not (math.isfinite(t_max) and t_max >= 1.0):
-        raise DomainError("t_max must be finite and >= 1")
+    if not (math.isfinite(t_max) and t_max - 1.0 >= _TAIL_MIN_WIDTH):
+        raise DomainError("t_max must be finite and >= 1 + %g"
+                          % _TAIL_MIN_WIDTH)
     if not 0.0 <= t_lo < 1.0:
         raise DomainError("t_lo must lie in [0, 1)")
     h = expansion.h
@@ -237,10 +243,9 @@ def max_t_for_cutoff(cutoff, eps_trunc):
     return cutoff * cutoff / (4.0 * math.log(1.0 / eps_trunc))
 
 
-def relative_determinant(surface, spectrum, cusp_starts, t_max,
-                         eps_trunc=0.02):
-    """Relative determinant of the surface Laplacian against the
-    reference cusp model, through the Mellin engine.
+def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc=0.02):
+    """Relative determinant of the Laplacian of the spectrum's surface
+    against the reference cusp model, through the Mellin engine.
 
     The truncated length spectrum only represents the heat trace up to
     t_max <= cutoff^2 / (4 log(1/eps_trunc)); beyond that the missing
@@ -257,16 +262,15 @@ def relative_determinant(surface, spectrum, cusp_starts, t_max,
             required_cutoff=need)
 
     def theta(t):
-        return trace_terms.relative_heat_trace(
-            surface, spectrum, cusp_starts, t)
+        return trace_terms.relative_heat_trace(spectrum, cusp_starts, t)
 
     expansion = ExpansionDescriptor(
-        trace_terms.heat_trace_expansion(surface, cusp_starts),
-        h=float(surface.components))
+        trace_terms.heat_trace_expansion(spectrum.surface, cusp_starts),
+        h=float(spectrum.surface.components))
     # the identity term's area/(4 pi t) cancels against the expansion in
     # floating point; without the cut the remainder at t = 1e-9 reads
     # 6e-8 and the small-t integral does not converge
     zeta = mellin_zeta_prime0(theta, expansion, t_max, t_lo=1e-3)
-    det_hyp = zeta.determinant / math.exp(-xi_prime0(surface.cusps))
+    det_hyp = zeta.determinant / math.exp(-xi_prime0(spectrum.surface.cusps))
     return RelativeDeterminantResult(zeta=zeta, det_hyp=det_hyp)
 

@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cuspspec
 from cuspspec import cli, fuchsian, trace_terms
@@ -33,7 +34,8 @@ INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                "{model-not-json}": "not json",
                "{config-not-object}": "[1]",
                "{config-null-t-max}": json.dumps({"t_max": None}),
-               "{config-list-max-length}": json.dumps({"max_length": [1, 2]})}
+               "{config-list-max-length}": json.dumps({"max_length": [1, 2]}),
+               "{config-misspelt-key}": json.dumps({"eps_trunk": 0.5})}
 
 
 def run_cli(*argv):
@@ -117,7 +119,7 @@ class TestTraceCommand:
         spec = fuchsian.enumerate_length_spectrum(group, 8.0)
         ts = np.array([1e-8, 0.5, 30.0])
         theta = trace_terms.relative_heat_trace(
-            group.surface, spec, CuspFamily((2.0, 1.5, 3.3)), ts)
+            spec, CuspFamily((2.0, 1.5, 3.3)), ts)
         # 17 significant digits print every double exactly
         assert [float(r["relative_trace"])
                 for r in csv_records(out.stdout)] == list(theta)
@@ -257,6 +259,19 @@ class TestConfigAndEnvironment:
             assert out.returncode == 0
             assert "# pinch_indices: %s\n" % indices in out.stdout
 
+    def test_config_keyed_by_option_name(self, tmp_path):
+        # det's --cutoff has the destination max_length; either key works,
+        # and a key of another subcommand (spectrum's format) is accepted
+        argv = ["det", "--group", "thrice-punctured-sphere", "--t-max", "2"]
+        outs = []
+        for key in ("cutoff", "max_length", "max-length"):
+            cfg = tmp_path / ("%s.json" % key)
+            cfg.write_text(json.dumps({key: 6, "format": "json"}))
+            outs.append(run_cli("--config", str(cfg), *argv))
+        ref = run_cli(*argv, "--cutoff", "6")
+        assert ref.returncode == 0
+        assert all(o.returncode == 0 and o.stdout == ref.stdout for o in outs)
+
     def test_missing_config_is_io_error(self):
         out = run_cli("--config", "/nonexistent/cfg.json", "selfcheck")
         assert out.returncode == 4
@@ -356,6 +371,12 @@ class TestErrorChannel:
         *(["spectrum", "--group", "once-punctured-torus(%s)" % tau,
            "--max-length", "6"] for tau in ("1e4", "1e5", "1e9", "1e30",
                                              "1e200")),
+        ["--config", "{config-misspelt-key}", "det", "--group",
+         "thrice-punctured-sphere", "--cutoff", "6", "--t-max", "4"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "1"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-num", "100001"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]
@@ -416,11 +437,13 @@ class TestErrorChannel:
         assert out.returncode == 4
 
 
+# zero, negatives, NaN, the infinities, the smallest subnormal and huge
+# values: the edge cases of every numeric option, by name
+EDGES = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300,
+         1e300, 1.7e308]
 # every kind of --t item: any double (NaN, infinities, subnormals and
-# the largest finite values among them) plus the edge cases by name
-T_ITEMS = st.one_of(st.floats(), st.sampled_from(
-    [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300,
-     1e300, 1.7e308]))
+# the largest finite values among them) plus the edge cases
+T_ITEMS = st.one_of(st.floats(), st.sampled_from(EDGES))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -433,16 +456,18 @@ def test_trace_accepts_or_refuses_any_t(ts):
                         "--t=" + ",".join(map(repr, ts))])
 
 
-def accepts_or_refuses(argv):
-    """cli.main(argv), run in process with warnings as errors, exits 0 or
-    2, writes no NaN, and a refusal is one JSON object on stderr."""
+def accepts_or_refuses(argv, codes=(0, 2)):
+    """cli.main(argv), run in process with warnings as errors, exits with
+    one of codes, writes no NaN value (a word: "determinant" holds the
+    letters), and a failure is one JSON object on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         code = cli.main(argv)
-    assert code in (0, 2)
-    assert "nan" not in (out.getvalue() + err.getvalue()).lower()
+    assert code in codes
+    assert not re.search(r"\bnan\b", out.getvalue() + err.getvalue(),
+                         re.IGNORECASE)
     if code:
         assert out.getvalue() == ""
         assert set(json.loads(err.getvalue())) == {"error", "message"}
@@ -462,6 +487,97 @@ def test_scatter_check_accepts_or_refuses_any_t(scatter_model, ts):
     a NaN, and every refusal is one JSON object on stderr."""
     accepts_or_refuses(["scatter-check", "--model", scatter_model,
                         "--t=" + ",".join(map(repr, ts))])
+
+
+GROUPS = st.sampled_from(["thrice-punctured-sphere",
+                          "once-punctured-torus(3.47)"])
+# any double or an edge case: the draw of an option meant to be broken
+BAD = st.one_of(st.floats(), st.sampled_from(EDGES))
+# (accepted, broken) word radii: a walk to radius 10 is quick, and from 18
+# on it is refused before it starts; None leaves max(6, ceil(cutoff))
+RADIUS = (st.one_of(st.none(), st.integers(1, 10)),
+          st.one_of(st.integers(-2, 0), st.integers(18, 10 ** 12)))
+
+
+def draw_options(data, options):
+    """One value per option flag, from the flag's (accepted, broken)
+    strategies: up to two flags, chosen at random, draw from the broken
+    one.  None leaves a flag out; a list repeats it."""
+    broken = data.draw(st.sets(st.sampled_from(list(options)), max_size=2))
+    return {flag: data.draw(bad if flag in broken else good)
+            for flag, (good, bad) in options.items()}
+
+
+def as_argv(values):
+    # "--flag=value", so that a value such as -inf is not read as a flag
+    return ["%s=%s" % (flag, v) for flag, value in values.items()
+            for v in (value if isinstance(value, list) else [value])
+            if v is not None]
+
+
+def quick_walk(values, length_flag):
+    """The default radius max(6, ceil(length)) walks quickly at most to
+    10 and is refused from 18 on."""
+    length = values[length_flag]
+    return values["--word-radius"] is not None or not 10.0 < length <= 17.0
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(GROUPS, st.data())
+def test_det_accepts_or_refuses(group, data):
+    """det exits 0, 2 or 3 on any numbers, without a warning or a NaN."""
+    values = draw_options(data, {
+        "--cutoff": (st.floats(4.0, 8.0), st.one_of(
+            st.floats(max_value=8.0), st.sampled_from(EDGES[:8]))),
+        # every tail-fit sample at t = 1 used to give an arbitrary tail
+        "--t-max": (st.floats(1.0, 4.0, exclude_min=True),
+                    st.one_of(st.just(1.0), BAD)),
+        "--eps-trunc": (st.one_of(st.none(), st.floats(1e-3, 0.5)), BAD),
+        "--word-radius": RADIUS})
+    accepts_or_refuses(["det", "--group", group, *as_argv(values)],
+                       codes=(0, 2, 3))
+
+
+ELL = st.floats(1e-6, 1.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(GROUPS, st.booleans(), st.data())
+def test_pinch_sweep_accepts_or_refuses(group, grid, data):
+    """pinch-sweep exits 0, 2 or 3 on any numbers, without a warning or
+    a NaN."""
+    if grid:
+        ells = {"--ell-grid": tuple(
+            st.lists(x, min_size=1, max_size=3, unique=True).map(
+                lambda g: ",".join(map(str, sorted(g, reverse=True))))
+            for x in (ELL, BAD))}
+    else:
+        ells = {"--ell-start": (ELL, BAD), "--ell-stop": (ELL, BAD),
+                "--ell-num": (st.integers(1, 300), st.one_of(
+                    st.integers(-2, 0),
+                    st.sampled_from([cli.MAX_ELL_NUM + 1, 10 ** 30])))}
+    values = draw_options(data, {
+        "--cutoff": (st.floats(3.0, 8.0), BAD), "--word-radius": RADIUS,
+        **ells, "--baseline": (st.floats(-10.0, 10.0), BAD),
+        "--pinch-index": (st.lists(st.integers(0, 1), max_size=2),
+                          st.lists(st.one_of(st.integers(max_value=-1),
+                                             st.integers(50, 10 ** 20)),
+                                   min_size=1, max_size=2))})
+    assume(quick_walk(values, "--cutoff"))
+    accepts_or_refuses(["pinch-sweep", "--group", group, *as_argv(values)],
+                       codes=(0, 2, 3))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(GROUPS, st.sampled_from(["csv", "json"]), st.data())
+def test_spectrum_accepts_or_refuses(group, fmt, data):
+    """spectrum exits 0, 2 or 3 on any numbers, without a warning or a
+    NaN."""
+    values = draw_options(data, {
+        "--max-length": (st.floats(0.1, 10.0), BAD), "--word-radius": RADIUS})
+    assume(quick_walk(values, "--max-length"))
+    accepts_or_refuses(["spectrum", "--group", group, "--format", fmt,
+                        *as_argv(values)], codes=(0, 2, 3))
 
 
 def test_bench_layer_names_resolve():

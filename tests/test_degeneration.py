@@ -50,44 +50,44 @@ class TestWolpertSum:
 
 class TestPinchSweep:
     def _base(self):
-        g = builtin_group("thrice-punctured-sphere")
-        return g, enumerate_length_spectrum(g, 6.0, 6)
+        return enumerate_length_spectrum(
+            builtin_group("thrice-punctured-sphere"), 6.0, 6)
 
     def test_rows_finite_and_decreasing(self):
-        g, spec = self._base()
+        spec = self._base()
         grid = sorted(np.geomspace(1e-3, 1e-1, 8), reverse=True)
-        rows = pinch_sweep(spec, [0], grid, 2.0, g.surface)
+        rows = pinch_sweep(spec, [0], grid, 2.0)
         assert len(rows) == len(grid)
         ests = [r.log_det_estimate for r in rows]
         assert all(b < a for a, b in zip(ests, ests[1:]))
 
     def test_wolpert_contribution_scales_with_multiplicity(self):
-        g, spec = self._base()
+        spec = self._base()
         grid = [0.01]
-        one = pinch_sweep(spec, [0], grid, 0.0, g.surface)[0]
+        one = pinch_sweep(spec, [0], grid, 0.0)[0]
         # pinching two classes of the same multiplicity at equal length
         # doubles the Wolpert column exactly
-        two = pinch_sweep(spec, [0, 1], grid, 0.0, g.surface)[0]
+        two = pinch_sweep(spec, [0, 1], grid, 0.0)[0]
         p0 = spec.entries[0].mult
         p1 = spec.entries[1].mult
         assert abs(one.wolpert_sum / p0
                    - two.wolpert_sum / (p0 + p1)) < 1e-12
 
     def test_estimate_assembly(self):
-        g, spec = self._base()
-        row = pinch_sweep(spec, [0], [0.02], 4.0, g.surface)[0]
-        mc = zeta_engine.xi_prime0(g.surface.cusps)
+        spec = self._base()
+        row = pinch_sweep(spec, [0], [0.02], 4.0)[0]
+        mc = zeta_engine.xi_prime0(spec.surface.cusps)
         ref = 4.0 - mc - row.wolpert_sum + row.small_eig_logsum
         assert abs(row.log_det_estimate - ref) < 1e-12
 
     def test_grid_validation(self):
-        g, spec = self._base()
+        spec = self._base()
         with pytest.raises(DomainError):
-            pinch_sweep(spec, [0], [0.01, 0.1], 0.0, g.surface)
+            pinch_sweep(spec, [0], [0.01, 0.1], 0.0)
         with pytest.raises(DomainError):
-            pinch_sweep(spec, [0], [-0.1], 0.0, g.surface)
+            pinch_sweep(spec, [0], [-0.1], 0.0)
         with pytest.raises(DomainError):
-            pinch_sweep(spec, [99], [0.1], 0.0, g.surface)
+            pinch_sweep(spec, [99], [0.1], 0.0)
 
     def test_row_rejects_nonfinite(self):
         with pytest.raises(DomainError):

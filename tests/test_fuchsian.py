@@ -275,7 +275,7 @@ class TestEnumeration:
           Mobius(3.0, 2.0, 4.0, 3.0)), 5),
     ])
     def test_other_letter_counts_match_reference_walk(self, gens, radius):
-        g = GroupPresentation(gens, "free")
+        g = GroupPresentation(gens)
         spec = enumerate_length_spectrum(g, 12.0, radius)
         entries, _ = _reference_walk(g, 12.0, radius)
         assert entries

@@ -134,9 +134,13 @@ class TestMellinEngine:
         assert abs(res.determinant - 0.1) < 1e-8 * 0.1
 
     def test_t_max_validation(self):
-        with pytest.raises(DomainError):
-            mellin_zeta_prime0(lambda t: np.exp(-t),
-                               _finite_spectrum_descriptor(1), t_max=0.5)
+        # at t_max = 1 every tail-fit sample sits at t = 1, and one ulp
+        # above it the fitted decay is rounding noise
+        for t_max in (0.5, 1.0, 1.0 + 2.0 ** -52):
+            with pytest.raises(DomainError):
+                mellin_zeta_prime0(lambda t: np.exp(-t),
+                                   _finite_spectrum_descriptor(1),
+                                   t_max=t_max)
 
     @pytest.mark.parametrize("t_max", [math.nan, math.inf])
     def test_nonfinite_t_max_refused(self, t_max):
@@ -223,7 +227,7 @@ class TestSurfaceExpansion:
         fam = CuspFamily((1.0, 2.0, 1.5))
         terms = heat_trace_expansion(g.surface, fam)
         for t in (1e-2, 1e-3):
-            theta = relative_heat_trace(g.surface, spec, fam, t)
+            theta = relative_heat_trace(spec, fam, t)
             approx = float(expansion_value(terms, t))
             assert abs(theta - approx) < 5e-2 * abs(theta) * t ** 0.5 + 1e-4
 
@@ -236,9 +240,9 @@ class TestSurfaceExpansion:
         desc = ExpansionDescriptor(heat_trace_expansion(g.surface, fam),
                                    h=1.0)
         ref = mellin_zeta_prime0(
-            lambda t: relative_heat_trace(g.surface, spec, fam, t), desc,
+            lambda t: relative_heat_trace(spec, fam, t), desc,
             2.0, t_lo=1e-3)
-        assert relative_determinant(g.surface, spec, fam, 2.0).zeta == ref
+        assert relative_determinant(spec, fam, 2.0).zeta == ref
 
     def test_leading_term_is_area_over_4pi(self):
         g = builtin_group("thrice-punctured-sphere")
@@ -258,7 +262,7 @@ class TestRelativeDeterminant:
         spec = enumerate_length_spectrum(g, 6.0, 6)
         fam = CuspFamily((1.0, 1.0, 1.0))
         with pytest.raises(TruncationError) as info:
-            relative_determinant(g.surface, spec, fam, 50.0)
+            relative_determinant(spec, fam, 50.0)
         assert info.value.required_cutoff > spec.cutoff
 
     def test_cut_height_shift_of_zeta_prime(self):
@@ -267,9 +271,9 @@ class TestRelativeDeterminant:
         # reported error budgets
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 10.0, 10)
-        r1 = relative_determinant(g.surface, spec,
+        r1 = relative_determinant(spec,
                                   CuspFamily((1.0, 1.0, 1.0)), 5.0)
-        r2 = relative_determinant(g.surface, spec,
+        r2 = relative_determinant(spec,
                                   CuspFamily((math.e,) * 3), 5.0)
         shift = r2.zeta.zeta_prime_zero - r1.zeta.zeta_prime_zero
         budget = (r1.zeta.small_t_error + r1.zeta.large_t_error
@@ -280,7 +284,7 @@ class TestRelativeDeterminant:
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 10.0, 10)
         fam = CuspFamily((1.0, 1.0, 1.0))
-        res = relative_determinant(g.surface, spec, fam, 5.0)
+        res = relative_determinant(spec, fam, 5.0)
         a_tilde = math.exp(-xi_prime0(g.surface.cusps))
         assert abs(res.zeta.determinant
                    - a_tilde * res.det_hyp) < 1e-12 * res.zeta.determinant
@@ -289,6 +293,6 @@ class TestRelativeDeterminant:
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 10.0, 10)
         fam = CuspFamily((1.0, 1.0, 1.0))
-        a = relative_determinant(g.surface, spec, fam, 5.0)
-        b = relative_determinant(g.surface, spec, fam, 5.0)
+        a = relative_determinant(spec, fam, 5.0)
+        b = relative_determinant(spec, fam, 5.0)
         assert a.zeta == b.zeta and a.det_hyp == b.det_hyp
