@@ -260,9 +260,8 @@ def _selfcheck_scatter():
 def _selfcheck_zeta():
     terms = tuple((float(j), 0, ((-1.0) ** j + (-2.0) ** j)
                    / math.factorial(j)) for j in range(10))
-    desc = zeta_engine.ExpansionDescriptor(terms, h=0.0)
     res = zeta_engine.mellin_zeta_prime0(
-        lambda t: np.exp(-t) + np.exp(-2.0 * t), desc, t_max=40.0)
+        lambda t: np.exp(-t) + np.exp(-2.0 * t), terms, 0.0, t_max=40.0)
     return abs(res.determinant - 2.0) < 1e-8
 
 

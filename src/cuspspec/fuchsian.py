@@ -174,13 +174,18 @@ def builtin_group(name):
             raise DomainError("once-punctured torus needs a finite "
                               "generator trace > 2*sqrt(2)")
         # trace triple (tau, tau, z) on the Markov-type surface
-        # x^2 + y^2 + z^2 = xyz; smaller root keeps z in (2, 4]
-        z = (tau * tau - tau * math.sqrt(tau * tau - 8.0)) / 2.0
-        # z - 2 is about 4 / tau^2, and z carries rounding of eps * tau^2
-        if not z - 2.0 > 64.0 * sys.float_info.epsilon * tau * tau:
+        # x^2 + y^2 + z^2 = xyz; the smaller root z = 4 tau / r keeps z in
+        # (2, 4], and z - 2 = 16 / r^2 is formed without cancellation
+        r = tau + math.sqrt(tau * tau - 8.0)
+        z, zm2 = 4.0 * tau / r, 16.0 / (r * r)
+        # z - 2 is about 4 / tau^2, while the walk's products round the
+        # commutator trace by about eps * tau^4 (8.8e-13 at tau = 4000),
+        # which beyond this bound (tau near 4.1e3) nears the 1e-12
+        # hyperbolic test
+        if not zm2 > 64.0 * sys.float_info.epsilon * tau * tau:
             raise DomainError("once-punctured torus trace %r is too large: "
-                              "its third trace is lost to rounding" % tau)
-        eta = (-z + math.sqrt(z * z - 4.0)) / 2.0
+                              "its commutator is lost to rounding" % tau)
+        eta = (-z + math.sqrt(zm2 * (z + 2.0))) / 2.0
         a = Mobius(tau, 1.0, -1.0, 0.0)
         b = Mobius(0.0, eta, -1.0 / eta, tau)
         return GroupPresentation((a, b), SurfaceData(genus=1, cusps=1))

@@ -197,9 +197,12 @@ def _is_nonpositive_int(z):
 
 
 def _cot_pi(z):
-    """cot(pi z) with the real part reduced mod 1 to keep sin/cos tame."""
-    zr = np.real(z) - np.floor(np.real(z))
-    w = np.pi * (zr + 1j * np.imag(z))
+    """cot(pi z) as cos w / sin w, w = pi z with its real part reduced to
+    [-pi/2, pi/2] and its imaginary part clipped to [-20, 20]: beyond
+    that cot w = -i sign(Im w) to within 2 e^{-40} < eps / 2, while cos w
+    and sin w overflow once |Im z| > 226."""
+    w = (np.pi * (np.real(z) - np.rint(np.real(z)))
+         + 1j * np.clip(np.pi * np.imag(z), -20.0, 20.0))
     return np.cos(w) / np.sin(w)
 
 

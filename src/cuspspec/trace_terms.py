@@ -22,7 +22,7 @@ from .specfun import QuadratureSpec
 __all__ = [
     "ScatteringModel",
     "identity_term", "hyperbolic_trace",
-    "P_EXPANSION", "expansion_value", "CUSP_CONSTANT",
+    "P_EXPANSION", "expansion_value",
     "parabolic_p", "parabolic_p_asymptotic", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
     "cut_height_term", "heat_trace_columns", "relative_heat_trace",
@@ -268,15 +268,6 @@ def cusp_term(t):
     out = (-parabolic_p(t) / math.pi
            - math.log(2.0) * damp / np.sqrt(4.0 * math.pi * t) + damp / 2.0)
     return _shaped(out, shape)
-
-
-# The per-cusp constant c = zeta'(0) of cusp_term; det = e^{-m c} det_hyp.
-# Termwise c = -zeta_P'(0)/pi + (log 2)/2 + log 2.  zeta_P(s) = int_R
-# (1/4+r^2)^{-s} Re psi(1+ir) dr = -B'(s)/2 + H(s), B(s) = sqrt(pi) 2^{2s-1}
-# Gamma(s-1/2)/Gamma(s), H the same integral of h(r) = Re psi(1+ir) -
-# log(1/4+r^2)/2 = O(r^-2): zeta_P'(0) = 2 pi + H'(0), H'(0) = pi (3 log 2
-# - 2) (20-digit mpmath check, tests/test_zeta_engine.py::TestCuspConstant).
-CUSP_CONSTANT = -1.5 * math.log(2.0)
 
 
 def parabolic_p_asymptotic(t):

@@ -15,7 +15,7 @@ only the expansion remainder and the mid-range integral are quadratures.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,70 +30,28 @@ from .errors import (
 from .specfun import QuadratureSpec, integrate
 
 __all__ = [
-    "ExpansionDescriptor", "ZetaResult", "RelativeDeterminantResult",
+    "ZetaResult", "RelativeDeterminantResult",
     "mellin_zeta_prime0", "xi_prime0", "relative_determinant",
 ]
 
 
-
-@dataclass(frozen=True)
-class ExpansionDescriptor:
-    """Small-t expansion sum_j c_j t^{alpha_j} (log t)^{k_j} of a trace
-    function, plus its large-t constant h (dimension of the kernel
-    difference)."""
-
-    terms: tuple
-    h: float = 0.0
-
-    def __post_init__(self):
-        terms = tuple((float(a), int(k), float(c)) for a, k, c in self.terms)
-        object.__setattr__(self, "terms", terms)
-        seen = set()
-        prev_alpha = -math.inf
-        for a, k, c in terms:
-            if k < 0:
-                raise DomainError("log powers must be >= 0")
-            if a == 0.0 and k > 0:
-                raise DomainError(
-                    "the alpha = 0 term may not carry a log factor")
-            if (a, k) in seen:
-                raise DomainError("duplicate (alpha, k) expansion term")
-            if a < prev_alpha:
-                raise DomainError("expansion exponents must be sorted")
-            seen.add((a, k))
-            prev_alpha = a
-
-    def evaluate(self, t):
-        """Sum of the declared terms at t (vectorized)."""
-        return trace_terms.expansion_value(self.terms, t)
-
-    @property
-    def constant_term(self):
-        for a, k, c in self.terms:
-            if a == 0.0:
-                return c
-        return 0.0
-
-
 @dataclass(frozen=True)
 class ZetaResult:
+    """zeta'(0) with the error estimates of its small-t and large-t
+    parts; determinant = exp(-zeta'(0)) is derived, not passed."""
+
     zeta_prime_zero: float
-    determinant: float
+    determinant: float = field(init=False)
     small_t_error: float
     large_t_error: float
 
     def __post_init__(self):
         if self.small_t_error < 0 or self.large_t_error < 0:
             raise DomainError("error estimates must be >= 0")
-        expected = math.exp(-self.zeta_prime_zero)
-        if not math.isfinite(expected) or expected <= 0:
+        det = math.exp(-self.zeta_prime_zero)
+        if not math.isfinite(det) or det <= 0:
             raise OverflowRangeError("determinant not representable")
-        if abs(self.determinant - expected) > 1e-12 * expected:
-            raise DomainError("determinant must equal exp(-zeta_prime_zero)")
-
-    @classmethod
-    def from_zeta_prime(cls, zp, small_err, large_err):
-        return cls(zp, math.exp(-zp), small_err, large_err)
+        object.__setattr__(self, "determinant", det)
 
 
 @dataclass(frozen=True)
@@ -148,13 +106,16 @@ def _tail_estimate(theta, h, t_max, min_decay):
     return tail, abs(tail) * max(resid, 0.05)
 
 
-def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
+def mellin_zeta_prime0(theta, terms, h, t_max, t_lo=0.0, min_decay=0.2):
     """zeta'(0) and determinant exp(-zeta'(0)) of a trace function.
 
     theta: array-valued callable t -> Tr(relative heat operator); it is
     called once per 15-node quadrature panel with the panel's nodes and
     must return an array of their shape.
-    expansion: declared small-t behavior of theta plus the constant h.
+    terms: declared small-t expansion of theta as (alpha, k, c) terms
+    c t^alpha (log t)^k (trace_terms.expansion_value); their order and
+    repeats do not matter, and the alpha = 0 terms may carry no log.
+    h: large-t limit of theta (dimension of the kernel difference).
     t_max: end of the numerically trusted window (finite, at least
     1 + _TAIL_MIN_WIDTH).
     t_lo: optional positive cut below which the expansion remainder is
@@ -170,16 +131,15 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
                           % _TAIL_MIN_WIDTH)
     if not 0.0 <= t_lo < 1.0:
         raise DomainError("t_lo must lie in [0, 1)")
-    h = expansion.h
+
+    if any(a == 0.0 and k > 0 for a, k, _ in terms):
+        raise DomainError("the alpha = 0 term may not carry a log factor")
 
     # analytic Mellin images of the declared terms at s = 0
-    analytic = np.euler_gamma * (expansion.constant_term - h)
-    for a, k, c in expansion.terms:
+    analytic = np.euler_gamma * (sum(c for a, _, c in terms if a == 0.0) - h)
+    for a, k, c in terms:
         if a != 0.0:
             analytic += c * (-1.0) ** k * math.factorial(k) / a ** (k + 1)
-
-    def remainder(t):
-        return theta(t) - expansion.evaluate(t)
 
     # one theta call for the probes: the remainder at probe_hi and
     # probe_lo, the scale theta(1) and the remainder at the cut t_lo
@@ -189,7 +149,8 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
     theta_probes = np.asarray(theta(probes), dtype=float)
     if theta_probes.shape != probes.shape:
         raise DomainError("theta must return an array of the shape of t")
-    r_hi, r_lo, _, r_cut = theta_probes - expansion.evaluate(probes)
+    r_hi, r_lo, _, r_cut = (theta_probes
+                            - trace_terms.expansion_value(terms, probes))
     scale = 1.0 + abs(theta_probes[2])
     # remainder decay check: the subtracted theta must vanish with a
     # positive local power as t -> 0
@@ -205,7 +166,8 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
     u_lo = math.sqrt(t_lo)
 
     def small_integrand(u):
-        return remainder(u * u) * 2.0 / u
+        t = u * u
+        return (theta(t) - trace_terms.expansion_value(terms, t)) * 2.0 / u
 
     small = integrate(small_integrand, u_lo, 1.0, spec=_MELLIN_SPEC)
     small_err = small.error
@@ -219,13 +181,19 @@ def mellin_zeta_prime0(theta, expansion, t_max, t_lo=0.0, min_decay=0.2):
     tail, tail_err = _tail_estimate(theta, h, t_max, min_decay)
 
     zp = analytic + small.value + mid.value + tail
-    return ZetaResult.from_zeta_prime(zp, small_err,
-                                      mid.error + tail_err)
+    return ZetaResult(zp, small_err, mid.error + tail_err)
 
 
 def xi_prime0(num_cusps):
-    """m trace_terms.CUSP_CONSTANT, rounded once as -(3m/2) log 2 (m times
-    the rounded constant puts 5.6e-16 into e^{-3c} = 2^{9/2})."""
+    """m c for m cusps, c = -(3/2) log 2 the per-cusp constant (zeta'(0)
+    of trace_terms.cusp_term), so det = e^{-m c} det_hyp.  Termwise c =
+    -zeta_P'(0)/pi + (log 2)/2 + log 2, zeta_P(s) = int_R (1/4+r^2)^{-s}
+    Re psi(1+ir) dr = -B'(s)/2 + H(s), B(s) = sqrt(pi) 2^{2s-1}
+    Gamma(s-1/2)/Gamma(s), H the same integral of h(r) = Re psi(1+ir) -
+    log(1/4+r^2)/2 = O(r^-2): zeta_P'(0) = 2 pi + H'(0), H'(0) = pi (3 log
+    2 - 2) (20-digit mpmath check in the tests, TestCuspConstant).  Rounded
+    once as -(3m/2) log 2: m times the rounded c puts 5.6e-16 into e^{-3c}
+    = 2^{9/2}."""
     if num_cusps < 0:
         raise DomainError("cusp count must be >= 0")
     return -1.5 * num_cusps * math.log(2.0)
@@ -261,16 +229,13 @@ def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc=0.02):
             % (t_max, bound, spectrum.cutoff, need),
             required_cutoff=need)
 
-    def theta(t):
-        return trace_terms.relative_heat_trace(spectrum, cusp_starts, t)
-
-    expansion = ExpansionDescriptor(
-        trace_terms.heat_trace_expansion(spectrum.surface, cusp_starts),
-        h=float(spectrum.surface.components))
     # the identity term's area/(4 pi t) cancels against the expansion in
     # floating point; without the cut the remainder at t = 1e-9 reads
     # 6e-8 and the small-t integral does not converge
-    zeta = mellin_zeta_prime0(theta, expansion, t_max, t_lo=1e-3)
+    zeta = mellin_zeta_prime0(
+        lambda t: trace_terms.relative_heat_trace(spectrum, cusp_starts, t),
+        trace_terms.heat_trace_expansion(spectrum.surface, cusp_starts),
+        float(spectrum.surface.components), t_max, t_lo=1e-3)
     det_hyp = zeta.determinant / math.exp(-xi_prime0(spectrum.surface.cusps))
     return RelativeDeterminantResult(zeta=zeta, det_hyp=det_hyp)
 

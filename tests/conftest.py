@@ -1,7 +1,7 @@
 import mpmath as mp
 
 from cuspspec import trace_terms
-from cuspspec.zeta_engine import ExpansionDescriptor, mellin_zeta_prime0
+from cuspspec.zeta_engine import mellin_zeta_prime0
 
 CRITERION_RESULTS = []
 
@@ -38,5 +38,5 @@ def engine_cusp_constant():
     """The per-cusp constant as the Mellin engine computes it from
     cusp_term and its small-t expansion (a ZetaResult)."""
     return mellin_zeta_prime0(
-        trace_terms.cusp_term,
-        ExpansionDescriptor(trace_terms.cusp_term_expansion()), t_max=60.0)
+        trace_terms.cusp_term, trace_terms.cusp_term_expansion(), 0.0,
+        t_max=60.0)

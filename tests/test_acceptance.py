@@ -144,10 +144,9 @@ def test_criterion_5_zeta_engine_oracle():
             t = np.atleast_1d(np.asarray(t, dtype=float))
             return np.sum(np.exp(-np.multiply.outer(t, lam)), axis=1)
 
-        desc = zeta_engine.ExpansionDescriptor(((0.0, 0, float(n)),), h=0.0)
         t_max = min(500.0, max(40.0, 45.0 / float(lam[0])))
-        res = zeta_engine.mellin_zeta_prime0(theta, desc, t_max=t_max,
-                                             min_decay=0.02)
+        res = zeta_engine.mellin_zeta_prime0(
+            theta, ((0.0, 0, float(n)),), 0.0, t_max=t_max, min_decay=0.02)
         ref_log = float(np.sum(np.log(lam)))
         worst = max(worst, abs(res.zeta_prime_zero + ref_log))
 
@@ -158,8 +157,8 @@ def test_criterion_5_zeta_engine_oracle():
         t = np.atleast_1d(np.asarray(t, dtype=float))
         return 1.0 + np.sum(np.exp(-np.multiply.outer(t, lam)), axis=1)
 
-    desc0 = zeta_engine.ExpansionDescriptor(((0.0, 0, 4.0),), h=1.0)
-    res0 = zeta_engine.mellin_zeta_prime0(theta0, desc0, t_max=90.0)
+    res0 = zeta_engine.mellin_zeta_prime0(theta0, ((0.0, 0, 4.0),), 1.0,
+                                          t_max=90.0)
     worst = max(worst, abs(res0.zeta_prime_zero
                            + float(np.sum(np.log(lam)))))
     ok = worst <= 1e-8

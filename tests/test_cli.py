@@ -366,8 +366,8 @@ class TestErrorChannel:
         ["--config", "{config-list-max-length}", "spectrum", "--group",
          "thrice-punctured-sphere"],
         ["selfcheck", "--config"],
-        # the construction's third trace z = (tau^2 - tau sqrt(tau^2 - 8))/2
-        # cancels: z - 2 is about 4 / tau^2
+        # z - 2 is about 4 / tau^2, while the walk rounds the commutator
+        # trace by about eps tau^4
         *(["spectrum", "--group", "once-punctured-torus(%s)" % tau,
            "--max-length", "6"] for tau in ("1e4", "1e5", "1e9", "1e30",
                                              "1e200")),
@@ -408,9 +408,7 @@ class TestErrorChannel:
     @pytest.mark.parametrize("tau", [3.47, 40.0, 400.0])
     def test_torus_trace_accepted(self, tau):
         # the short curve of trace z has length 2 acosh(z / 2), with z
-        # from the cancellation-free form 4 / (1 + sqrt(1 - 8 / tau^2));
-        # it is looked up, since at tau = 400 rounding still makes the
-        # parabolic commutator read as a shorter geodesic
+        # from the cancellation-free form 4 / (1 + sqrt(1 - 8 / tau^2))
         out = run_cli("spectrum", "--group", "once-punctured-torus(%r)" % tau,
                       "--max-length", "6", "--word-radius", "4")
         assert out.returncode == 0 and out.stderr == ""

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath as mp
 import pytest
 
 from cuspspec import fuchsian
@@ -177,6 +178,20 @@ class TestBuiltinGroups:
         comm = a @ b @ a.inv() @ b.inv()
         assert abs(comm.trace + 2.0) < 1e-9
         assert g.surface.genus == 1 and g.surface.cusps == 1
+
+    @pytest.mark.parametrize("tau, rel", [(40.0, 1e-12), (400.0, 1e-12),
+                                          (4000.0, 1e-9)])
+    def test_torus_short_curve_first(self, tau, rel):
+        # the short curve has trace z, the smaller root of z^2 - tau^2 z
+        # + 2 tau^2 = 0; it leads the spectrum, with no rounded commutator
+        # read as a shorter geodesic ahead of it
+        with mp.workdps(40):
+            t = mp.mpf(tau)
+            ref = float(2 * mp.acosh((t * t - t * mp.sqrt(t * t - 8)) / 4))
+        spec = enumerate_length_spectrum(
+            builtin_group("once-punctured-torus(%r)" % tau), 6.0, 4)
+        first = spec.entries[0]
+        assert first.mult == 2 and abs(first.length / ref - 1.0) < rel
 
     def test_torus_trace_bound(self):
         with pytest.raises(DomainError):

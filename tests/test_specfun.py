@@ -95,6 +95,31 @@ class TestDigamma:
         with pytest.raises(PoleError):
             specfun.digamma(-2.0)
 
+    def test_reflection_far_from_real_axis(self):
+        # cos and sin of pi z overflow here; mpmath gives 6.9078+1.5720j
+        # and 5.7038+1.5715j
+        for z in (-0.7 + 1000j, 0.3 + 300j, -0.7 - 1000j):
+            ref = complex(mp.digamma(z))
+            assert abs(specfun.digamma(z) - ref) <= 1e-15 * abs(ref)
+
+    def test_mpmath_sweep(self):
+        # the whole plane off the poles, Re z in [-50.3, 1e3] and |Im z|
+        # up to 1e3; the error is taken against max(1, |psi|) since psi
+        # has zeros (the worst measured is 1.2e-15)
+        xs = np.concatenate([-0.3 - np.geomspace(1e-3, 50.0, 9),
+                             [-7.5, -0.5, 0.0, 0.25, 0.5, 1.0,
+                              1.4616321449683622],
+                             np.geomspace(2.0, 1e3, 6)])
+        ys = np.geomspace(1e-3, 1e3, 13)
+        z = (xs[:, None] + 1j * np.concatenate([[0.0], ys, -ys])).ravel()
+        z = z[(z.imag != 0.0) | (z.real != np.rint(z.real))
+              | (z.real > 0.0)]
+        out = specfun.digamma(z)
+        with mp.workdps(30):
+            ref = np.array([complex(mp.digamma(zi)) for zi in z])
+        assert np.all(np.abs(out - ref) <= 4e-15 * np.maximum(1.0,
+                                                              np.abs(ref)))
+
 
 class TestErfc:
     def test_erfcx_consistency(self):
@@ -118,6 +143,18 @@ class TestErfc:
             ref = specfun.erfcx(complex(zi))
             assert isinstance(ref, complex)
             assert abs(oi - ref) <= 1e-15 * abs(ref)
+
+    def test_erfcx_mpmath_sweep(self):
+        # the closed right half-plane out to |x| = 1e4 and |y| = 60 (the
+        # worst measured relative error is 1.4e-15)
+        ys = np.geomspace(1e-6, 60.0, 15)
+        z = (np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 21)])[:, None]
+             + 1j * np.concatenate([[0.0], ys, -ys])).ravel()
+        out = specfun.erfcx(z)
+        with mp.workdps(30):
+            ref = np.array([complex(mp.exp(mp.mpc(zi) ** 2)
+                                    * mp.erfc(mp.mpc(zi))) for zi in z])
+        assert np.all(np.abs(out - ref) <= 4e-15 * np.abs(ref))
 
     @pytest.mark.parametrize("z", [-0.5, np.array([1.0, -30.0]), np.nan])
     def test_erfcx_left_half_plane_refused(self, z):
@@ -151,6 +188,16 @@ class TestBesselK:
                 ref = mp.exp(x) * mp.besselk(nu, x)
                 scaled = specfun.bessel_k_scaled(nu, x)
                 assert abs(scaled - ref) < 1e-11 * abs(scaled)
+
+    def test_mpmath_sweep(self):
+        # the documented domain 0 <= nu <= 50, 2 <= x < inf (the worst
+        # measured relative error is 2.1e-15, at nu = 50)
+        with mp.workdps(30):
+            for nu in (*np.linspace(0.0, 50.0, 11), 1.0 / 3.0, 49.5):
+                for x in (2.0, *np.geomspace(2.0001, 1e4, 11)):
+                    ref = mp.exp(x) * mp.besselk(nu, x)
+                    val = specfun.bessel_k_scaled(float(nu), float(x))
+                    assert abs(val - ref) <= 5e-15 * ref
 
     def test_scaled_survives_huge_argument(self):
         # unscaled K underflows near x ~ 740; the scaled form must not

@@ -235,6 +235,12 @@ class TestParabolicP:
             / abs(parabolic_p(t))
         assert rel < 1e-3
 
+    def test_expansion_value(self):
+        terms = ((-0.5, 1, 2.0), (1.0, 0, 3.0))
+        t = 0.25
+        ref = 2.0 * t ** -0.5 * math.log(t) + 3.0 * t
+        assert abs(float(expansion_value(terms, t)) - ref) < 1e-14
+
     def test_ladder_improves_with_terms(self):
         t = 1e-2
         p = parabolic_p(t)

@@ -11,18 +11,17 @@ from cuspspec.cusp_model import CuspFamily
 from cuspspec.errors import (
     DomainError,
     ExpansionMismatchError,
+    OverflowRangeError,
     TailFitError,
     TruncationError,
 )
 from cuspspec.fuchsian import builtin_group, enumerate_length_spectrum
 from cuspspec.trace_terms import (
-    CUSP_CONSTANT,
     expansion_value,
     heat_trace_expansion,
     relative_heat_trace,
 )
 from cuspspec.zeta_engine import (
-    ExpansionDescriptor,
     ZetaResult,
     max_t_for_cutoff,
     mellin_zeta_prime0,
@@ -37,99 +36,107 @@ FROZEN_CUSP_CONSTANT = -1.0397207707791534
 CLOSED_FORM_CUSP_CONSTANT = -1.5 * math.log(2.0)
 
 
-def _finite_spectrum_descriptor(n):
-    return ExpansionDescriptor(((0.0, 0, float(n)),), h=0.0)
+# small-t terms of e^{-t/4}/sqrt(4 pi t) up to t^{3/2}
+GAUSSIAN_TERMS = (
+    (-0.5, 0, 1.0 / (2.0 * math.sqrt(math.pi))),
+    (0.5, 0, -1.0 / (8.0 * math.sqrt(math.pi))),
+    (1.5, 0, 1.0 / (64.0 * math.sqrt(math.pi))),
+)
 
 
-class TestExpansionDescriptor:
-    def test_duplicate_rejected(self):
-        with pytest.raises(DomainError):
-            ExpansionDescriptor(((-0.5, 0, 1.0), (-0.5, 0, 2.0)))
-
-    def test_log_on_constant_rejected(self):
-        with pytest.raises(DomainError):
-            ExpansionDescriptor(((0.0, 1, 1.0),))
-
-    def test_sorted_required(self):
-        with pytest.raises(DomainError):
-            ExpansionDescriptor(((0.5, 0, 1.0), (-0.5, 0, 1.0)))
-
-    def test_evaluate(self):
-        d = ExpansionDescriptor(((-0.5, 1, 2.0), (1.0, 0, 3.0)))
-        t = 0.25
-        ref = 2.0 * t ** -0.5 * math.log(t) + 3.0 * t
-        assert abs(float(d.evaluate(t)) - ref) < 1e-14
-
-    def test_constant_term(self):
-        d = ExpansionDescriptor(((-1.0, 0, 1.0), (0.0, 0, 7.0)))
-        assert d.constant_term == 7.0
+def _finite_spectrum_terms(n):
+    return ((0.0, 0, float(n)),)
 
 
 class TestZetaResult:
     def test_invariant_enforced(self):
-        with pytest.raises(DomainError):
+        # the determinant is derived from zeta'(0), never passed
+        r = ZetaResult(-math.log(2.0), 1e-12, 1e-12)
+        assert r.determinant == math.exp(math.log(2.0))
+        with pytest.raises(TypeError):
             ZetaResult(1.0, 5.0, 0.0, 0.0)
 
-    def test_from_zeta_prime(self):
-        r = ZetaResult.from_zeta_prime(-math.log(2.0), 1e-12, 1e-12)
-        assert abs(r.determinant - 2.0) < 1e-12
+    def test_overflow_refused(self):
+        with pytest.raises(OverflowRangeError):
+            ZetaResult(800.0, 0.0, 0.0)
 
     def test_json_round_trip(self):
-        # the det command writes dataclasses.asdict of the result
-        r = ZetaResult.from_zeta_prime(0.3, 1e-10, 1e-9)
+        # the det command writes dataclasses.asdict of the result, with
+        # the determinant in second place
+        r = ZetaResult(0.3, 1e-10, 1e-9)
         obj = json.loads(json.dumps(dataclasses.asdict(r)))
+        assert list(obj) == ["zeta_prime_zero", "determinant",
+                             "small_t_error", "large_t_error"]
+        obj.pop("determinant")
         assert ZetaResult(**obj) == r
 
 
 class TestMellinEngine:
     def test_single_eigenvalue_identity(self):
         res = mellin_zeta_prime0(lambda t: np.exp(-t),
-                                 _finite_spectrum_descriptor(1), t_max=40.0)
+                                 _finite_spectrum_terms(1), 0.0, t_max=40.0)
         assert abs(res.zeta_prime_zero) < 1e-10
         assert abs(res.determinant - 1.0) < 1e-10
 
     def test_two_eigenvalues(self):
         res = mellin_zeta_prime0(
             lambda t: np.exp(-t) + np.exp(-2.0 * t),
-            _finite_spectrum_descriptor(2), t_max=40.0)
+            _finite_spectrum_terms(2), 0.0, t_max=40.0)
         assert abs(res.determinant - 2.0) < 1e-9
 
     def test_zero_mode_h_subtraction(self):
         # theta = 1 + e^{-3t}; h = 1 removes the kernel dimension and the
         # determinant is the product over nonzero eigenvalues
-        desc = ExpansionDescriptor(((0.0, 0, 2.0),), h=1.0)
-        res = mellin_zeta_prime0(lambda t: 1.0 + np.exp(-3.0 * t), desc,
-                                 t_max=40.0)
+        res = mellin_zeta_prime0(lambda t: 1.0 + np.exp(-3.0 * t),
+                                 ((0.0, 0, 2.0),), 1.0, t_max=40.0)
         assert abs(res.determinant - 3.0) < 1e-9
 
     def test_gaussian_cusp_term_value(self):
         # Mellin value of e^{-t/4}/sqrt(4 pi t) at s=0 is exactly -1/2
-        terms = (
-            (-0.5, 0, 1.0 / (2.0 * math.sqrt(math.pi))),
-            (0.5, 0, -1.0 / (8.0 * math.sqrt(math.pi))),
-            (1.5, 0, 1.0 / (64.0 * math.sqrt(math.pi))),
-        )
-        desc = ExpansionDescriptor(terms, h=0.0)
         res = mellin_zeta_prime0(
             lambda t: np.exp(-t / 4.0) / np.sqrt(4.0 * math.pi * t),
-            desc, t_max=60.0)
+            GAUSSIAN_TERMS, 0.0, t_max=60.0)
         assert abs(res.zeta_prime_zero + 0.5) < 1e-8
 
+    def test_term_order_and_repeats_immaterial(self):
+        # theta = e^{-t/4}/sqrt(4 pi t) + e^{-t} + e^{-2t}, zeta'(0) =
+        # -1/2 - log 2; its terms shuffled and split (the constant 2 as
+        # 1 + 1) give the value of the merged, sorted terms
+        def theta(t):
+            return (np.exp(-t / 4.0) / np.sqrt(4.0 * math.pi * t)
+                    + np.exp(-t) + np.exp(-2.0 * t))
+
+        (a0, k0, c0), (a1, k1, c1), (a2, k2, c2) = GAUSSIAN_TERMS
+        merged = ((a0, k0, c0), (0.0, 0, 2.0), (a1, k1, c1), (a2, k2, c2))
+        split = ((a2, k2, c2), (0.0, 0, 1.0), (a0, k0, c0 / 4.0),
+                 (a1, k1, c1), (0.0, 0, 1.0), (a0, k0, 3.0 * c0 / 4.0))
+        ref = mellin_zeta_prime0(theta, merged, 0.0, t_max=60.0)
+        res = mellin_zeta_prime0(theta, split, 0.0, t_max=60.0)
+        assert abs(ref.zeta_prime_zero + 0.5 + math.log(2.0)) < 1e-8
+        assert abs(res.zeta_prime_zero - ref.zeta_prime_zero) < 1e-13
+        assert res.small_t_error <= 1e-8 and res.large_t_error <= 1e-8
+
+    def test_log_on_constant_rejected(self):
+        with pytest.raises(DomainError):
+            mellin_zeta_prime0(lambda t: np.exp(-t), ((0.0, 1, 1.0),), 0.0,
+                               t_max=40.0)
+
     def test_expansion_mismatch_detected(self):
-        desc = ExpansionDescriptor(((0.0, 0, 5.0),), h=0.0)  # wrong c0
         with pytest.raises(ExpansionMismatchError):
-            mellin_zeta_prime0(lambda t: np.exp(-t), desc, t_max=10.0)
+            mellin_zeta_prime0(lambda t: np.exp(-t),
+                               ((0.0, 0, 5.0),), 0.0,  # wrong c0
+                               t_max=10.0)
 
     def test_tail_fit_error_for_slow_decay(self):
-        desc = _finite_spectrum_descriptor(1)
         with pytest.raises(TailFitError) as info:
-            mellin_zeta_prime0(lambda t: np.exp(-0.05 * t), desc,
+            mellin_zeta_prime0(lambda t: np.exp(-0.05 * t),
+                               _finite_spectrum_terms(1), 0.0,
                                t_max=30.0, min_decay=0.2)
         assert info.value.fitted_mu < 0.2
 
     def test_min_decay_override_allows_slow_modes(self):
-        desc = _finite_spectrum_descriptor(1)
-        res = mellin_zeta_prime0(lambda t: np.exp(-0.1 * t), desc,
+        res = mellin_zeta_prime0(lambda t: np.exp(-0.1 * t),
+                                 _finite_spectrum_terms(1), 0.0,
                                  t_max=400.0, min_decay=0.02)
         assert abs(res.determinant - 0.1) < 1e-8 * 0.1
 
@@ -139,14 +146,14 @@ class TestMellinEngine:
         for t_max in (0.5, 1.0, 1.0 + 2.0 ** -52):
             with pytest.raises(DomainError):
                 mellin_zeta_prime0(lambda t: np.exp(-t),
-                                   _finite_spectrum_descriptor(1),
+                                   _finite_spectrum_terms(1), 0.0,
                                    t_max=t_max)
 
     @pytest.mark.parametrize("t_max", [math.nan, math.inf])
     def test_nonfinite_t_max_refused(self, t_max):
         with pytest.raises(DomainError):
             mellin_zeta_prime0(lambda t: np.exp(-t),
-                               _finite_spectrum_descriptor(1), t_max=t_max)
+                               _finite_spectrum_terms(1), 0.0, t_max=t_max)
 
     def test_theta_called_once_per_panel(self):
         sizes = []
@@ -155,7 +162,7 @@ class TestMellinEngine:
             sizes.append(np.size(t))
             return np.exp(-t) + np.exp(-2.0 * t)
 
-        res = mellin_zeta_prime0(theta, _finite_spectrum_descriptor(2),
+        res = mellin_zeta_prime0(theta, _finite_spectrum_terms(2), 0.0,
                                  t_max=40.0)
         assert abs(res.determinant - 2.0) < 1e-9
         assert sizes.count(15) >= len(sizes) - 2
@@ -164,7 +171,7 @@ class TestMellinEngine:
     def test_scalar_valued_theta_refused(self):
         with pytest.raises(DomainError):
             mellin_zeta_prime0(lambda t: 1.0 + 0.0 * float(np.sum(t)),
-                               _finite_spectrum_descriptor(1), t_max=40.0)
+                               _finite_spectrum_terms(1), 0.0, t_max=40.0)
 
 
 class TestCuspConstant:
@@ -174,7 +181,7 @@ class TestCuspConstant:
 
     def test_engine_within_its_error(self):
         res = engine_cusp_constant()
-        gap = abs(res.zeta_prime_zero - CUSP_CONSTANT)
+        gap = abs(res.zeta_prime_zero - xi_prime0(1))
         assert gap <= res.small_t_error + res.large_t_error
 
     def test_mpmath_oracle(self):
@@ -203,10 +210,10 @@ class TestCuspConstant:
             zeta_p = -mp.diff(b, 0, 2) / 2 + dh_0
             ref = -zeta_p / mp.pi + 3 * mp.log(2) / 2
         assert abs(h_0) < 1e-15
-        assert abs(CUSP_CONSTANT - ref) < 1e-15
+        assert abs(xi_prime0(1) - ref) < 1e-15
 
     def test_closed_form_oracle(self):
-        assert xi_prime0(1) == CUSP_CONSTANT == CLOSED_FORM_CUSP_CONSTANT
+        assert xi_prime0(1) == CLOSED_FORM_CUSP_CONSTANT
         for m in range(1, 7):
             assert abs(math.exp(-xi_prime0(m)) / 2.0 ** (1.5 * m) - 1.0) \
                 < 4e-16
@@ -237,11 +244,9 @@ class TestSurfaceExpansion:
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 6.0, 6)
         fam = CuspFamily((1.0, 1.0, 1.0))
-        desc = ExpansionDescriptor(heat_trace_expansion(g.surface, fam),
-                                   h=1.0)
         ref = mellin_zeta_prime0(
-            lambda t: relative_heat_trace(spec, fam, t), desc,
-            2.0, t_lo=1e-3)
+            lambda t: relative_heat_trace(spec, fam, t),
+            heat_trace_expansion(g.surface, fam), 1.0, 2.0, t_lo=1e-3)
         assert relative_determinant(spec, fam, 2.0).zeta == ref
 
     def test_leading_term_is_area_over_4pi(self):

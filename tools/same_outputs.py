@@ -37,6 +37,11 @@ ARGVS = [
     ["scatter-check", "--model", "model.json", "--t", "0.5,1,2"],
     ["selfcheck"],
     ["--help"],
+    # the torus construction: a large trace and a bench-band one
+    ["spectrum", "--group", "once-punctured-torus(400.0)", "--max-length", "6",
+     "--word-radius", "4"],
+    ["det", "--group", "once-punctured-torus(3.41)", "--cutoff", "12",
+     "--t-max", "8"],
 ]
 
 
