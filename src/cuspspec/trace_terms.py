@@ -23,7 +23,7 @@ __all__ = [
     "ScatteringModel",
     "identity_term", "hyperbolic_trace",
     "P_EXPANSION", "expansion_value",
-    "parabolic_p", "parabolic_p_asymptotic", "cusp_term",
+    "parabolic_p", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
     "cut_height_term", "heat_trace_columns", "relative_heat_trace",
     "cusp_term_expansion", "heat_trace_expansion", "model_from_json",
@@ -230,13 +230,13 @@ def parabolic_p(t):
     The series is summed directly up to N = ceil(12/sqrt(t)) + 10; beyond
     N each power x^{-(2m+1)} of the asymptotic expansion of the summand
     sums to t^{-(2m+1)/2} zeta(2m+1, N+1).  Below t = 3e-7 the full
-    small-t ladder (:func:`parabolic_p_asymptotic`) is used instead.
+    small-t ladder P_EXPANSION is summed instead.
     """
     t, shape = _t_array(t, "parabolic_p")
     small = t < _SERIES_MIN_T
     out = np.empty_like(t)
     if np.any(small):
-        out[small] = parabolic_p_asymptotic(t[small])
+        out[small] = expansion_value(P_EXPANSION, t[small])
     if not np.all(small):
         out[~small] = _parabolic_series(t[~small])
     return _shaped(out, shape)
@@ -268,14 +268,6 @@ def cusp_term(t):
     out = (-parabolic_p(t) / math.pi
            - math.log(2.0) * damp / np.sqrt(4.0 * math.pi * t) + damp / 2.0)
     return _shaped(out, shape)
-
-
-def parabolic_p_asymptotic(t):
-    """P_EXPANSION summed at t in (0, 1]."""
-    t, shape = _t_array(t, "parabolic_p_asymptotic")
-    if np.any(t > 1.0):
-        raise DomainError("parabolic_p_asymptotic limited to 0 < t <= 1")
-    return _shaped(expansion_value(P_EXPANSION, t), shape)
 
 
 def phi_log_deriv(model, s):
@@ -382,31 +374,27 @@ def _gaussian_expansion(x):
 
 def cusp_term_expansion():
     """Small-t expansion of :func:`cusp_term` as (alpha, k, c) terms: the
-    half-integer powers of -P_EXPANSION/pi plus the log 2 Gaussian; the
+    half-integer powers of -P_EXPANSION/pi, then the log 2 Gaussian; the
     integer ones cancel e^{-t/4}/2 = 1/2 - t/8 + ... exactly."""
-    gauss = {(a, k): c for a, k, c in _gaussian_expansion(-math.log(2.0))}
-    return tuple((a, k, -c / math.pi + gauss.get((a, k), 0.0))
-                 for a, k, c in P_EXPANSION if a % 1.0)
+    return (tuple((a, k, -c / math.pi) for a, k, c in P_EXPANSION if a % 1.0)
+            + _gaussian_expansion(-math.log(2.0)))
 
 
 def heat_trace_expansion(surface, cusp_starts):
     """Small-t expansion of :func:`relative_heat_trace` as (alpha, k, c)
-    terms sorted by (alpha, k).  Composed from the heat coefficients of
-    the identity term, the cut-height Gaussian, and m copies of
-    :func:`cusp_term_expansion`; the geodesic sum is exponentially small
-    and contributes nothing.
+    terms, column by column and unmerged (the Mellin engine sums repeated
+    powers): the heat coefficients of the identity term, the cut-height
+    Gaussian, and m copies of :func:`cusp_term_expansion`; the geodesic
+    sum is exponentially small and contributes nothing.
     """
     area = surface.area
-    coeffs = {
+    return (
         # identity term: (area/4pi)(1/t - 1/3 + t/15 + ...)
-        (-1.0, 0): area / (4.0 * math.pi),
-        (0.0, 0): -area / (12.0 * math.pi),
-        (1.0, 0): area / (60.0 * math.pi),
-    }
-    for a, k, c in (_gaussian_expansion(cusp_starts.log_sum) + tuple(
-            (a, k, surface.cusps * c) for a, k, c in cusp_term_expansion())):
-        coeffs[(a, k)] = coeffs.get((a, k), 0.0) + c
-    return tuple((a, k, c) for (a, k), c in sorted(coeffs.items()))
+        (-1.0, 0, area / (4.0 * math.pi)),
+        (0.0, 0, -area / (12.0 * math.pi)),
+        (1.0, 0, area / (60.0 * math.pi)),
+        *_gaussian_expansion(cusp_starts.log_sum),
+        *((a, k, surface.cusps * c) for a, k, c in cusp_term_expansion()))
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,7 @@
+import functools
+import math
+from collections import Counter
+
 import mpmath as mp
 
 from cuspspec import trace_terms
@@ -32,6 +36,56 @@ def wolpert_series(ell, n_terms):
             qn *= q
             total += qn / (n * (1 - qn))
         return total
+
+
+def _mul(m, n):
+    (a, b, c, d), (e, f, g, h) = m, n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _power(m, k):
+    return functools.reduce(_mul, (m,) * k)
+
+
+def arithmetic_spectrum(name, max_length):
+    """Exhaustive spectrum {trace: classes} to max_length of an
+    arithmetic built-in group, "thrice-punctured-sphere" (Gamma(2)) or
+    "once-punctured-torus(3.0)" (the commutator subgroup of PSL2(Z)).
+
+    Every primitive hyperbolic class of PSL2(Z) is one Lyndon word over
+    R = [[1,1],[0,1]] < L = [[1,0],[1,1]] that uses both letters (the
+    cutting-sequence coding).  Entries are >= 0 and each letter is >= I
+    entrywise, so a prefix's trace bounds every extension's and the
+    prenecklace tree is pruned at trace > 2 cosh(max_length/2); R^n L
+    has trace n + 2, which bounds the run R^n.  Both groups are normal of
+    index 6: for a class g of order k in the quotient (the order of g mod
+    2 for Gamma(2), 6/gcd(#L - #R, 6) for the torus), g^k is primitive in
+    the subgroup and its class splits into 6/k classes there.
+    """
+    cap = 2.0 * math.cosh(max_length / 2.0)
+    letters = ((1, 1, 0, 1), (1, 0, 1, 1))
+    classes = Counter()
+    # (prenecklace, length of its longest Lyndon prefix, product)
+    stack = [((0,), 1, letters[0])]
+    while stack:
+        word, p, m = stack.pop()
+        n = len(word)
+        if m[0] + m[3] > cap or (1 not in word and n + 2 > cap):
+            continue
+        if p == n and 1 in word:
+            if name == "thrice-punctured-sphere":
+                k = next(j for j in (1, 2, 3) if tuple(
+                    x % 2 for x in _power(m, j)) == (1, 0, 0, 1))
+            else:
+                k = 6 // math.gcd(2 * sum(word) - n, 6)
+            power = _power(m, k)
+            if power[0] + power[3] <= cap:
+                classes[power[0] + power[3]] += 6 // k
+        # a child repeats the letter one period back, or (after R) is L
+        stack.append((word + (word[n - p],), p, _mul(m, letters[word[n - p]])))
+        if word[n - p] == 0:
+            stack.append((word + (1,), n + 1, _mul(m, letters[1])))
+    return classes
 
 
 def engine_cusp_constant():

@@ -126,7 +126,7 @@ def test_criterion_4_companion_observed_ladder():
     # the expansion that does hold: leading term -(sqrt(pi)/2) log t/sqrt t
     t = 1e-4
     p = trace_terms.parabolic_p(t)
-    approx = trace_terms.parabolic_p_asymptotic(t)
+    approx = trace_terms.expansion_value(trace_terms.P_EXPANSION, t)
     ok = abs(p - approx) <= 1e-6 * abs(p)
     record_criterion(4, ok, "companion: half-integer ladder rel %.2e"
                      % (abs(p - approx) / abs(p)))

@@ -405,6 +405,16 @@ class TestErrorChannel:
         assert json.loads(out.stderr)["error"] == "BudgetExceededError"
         assert out.stdout == ""
 
+    def test_huge_cut_heights_refused(self):
+        # each cut height a moves zeta'(0) by -(log a)/2, so the
+        # determinant exp(-zeta'(0)) is past the largest double
+        out = run_cli("det", "--group", "thrice-punctured-sphere",
+                      "--cutoff", "12", "--t-max", "8",
+                      "--cusp-starts", "1e300,1e300,1e300")
+        assert out.returncode == 3
+        assert json.loads(out.stderr)["error"] == "OverflowRangeError"
+        assert out.stdout == ""
+
     @pytest.mark.parametrize("tau", [3.47, 40.0, 400.0])
     def test_torus_trace_accepted(self, tau):
         # the short curve of trace z has length 2 acosh(z / 2), with z
@@ -524,6 +534,13 @@ def quick_walk(values, length_flag):
 @given(GROUPS, st.data())
 def test_det_accepts_or_refuses(group, data):
     """det exits 0, 2 or 3 on any numbers, without a warning or a NaN."""
+    cusps = fuchsian.builtin_group(group).surface.cusps
+
+    def heights(x):
+        # one cut height per cusp, as the flag's comma list
+        return st.lists(x, min_size=cusps, max_size=cusps).map(
+            lambda a: ",".join(map(repr, a)))
+
     values = draw_options(data, {
         "--cutoff": (st.floats(4.0, 8.0), st.one_of(
             st.floats(max_value=8.0), st.sampled_from(EDGES[:8]))),
@@ -531,7 +548,9 @@ def test_det_accepts_or_refuses(group, data):
         "--t-max": (st.floats(1.0, 4.0, exclude_min=True),
                     st.one_of(st.just(1.0), BAD)),
         "--eps-trunc": (st.one_of(st.none(), st.floats(1e-3, 0.5)), BAD),
-        "--word-radius": RADIUS})
+        "--word-radius": RADIUS,
+        "--cusp-starts": (st.one_of(st.none(), heights(st.floats(1.0, 4.0))),
+                          heights(BAD))})
     accepts_or_refuses(["det", "--group", group, *as_argv(values)],
                        codes=(0, 2, 3))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 import json
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import mpmath as mp
 import pytest
 
+from conftest import arithmetic_spectrum
 from cuspspec import fuchsian
 from cuspspec.errors import (
     BudgetExceededError,
@@ -295,6 +297,22 @@ class TestEnumeration:
         entries, _ = _reference_walk(g, 12.0, radius)
         assert entries
         assert [(e.length, e.mult) for e in spec.entries] == entries
+
+    @pytest.mark.parametrize("name", GROUPS[:2])
+    @pytest.mark.parametrize("max_length", [8.0, 10.0])
+    @pytest.mark.parametrize("radius", [None, 16])
+    def test_within_exhaustive_oracle(self, name, max_length, radius):
+        # the walk lists no class the complete spectrum lacks; it may miss
+        # some (words around a cusp need a radius of about e^{L/2}/2)
+        oracle = arithmetic_spectrum(name, max_length)
+        spec = enumerate_length_spectrum(builtin_group(name), max_length,
+                                         radius)
+        walk = Counter()
+        for e in spec.entries:
+            trace = 2.0 * math.cosh(e.length / 2.0)
+            assert abs(trace - round(trace)) < 1e-9 * trace
+            walk[round(trace)] += e.mult
+        assert all(n <= oracle[trace] for trace, n in walk.items())
 
     def test_walk_memory_bounded(self):
         # a deterministic stand-in for the spectrum job's peak RSS: 1.7 MB

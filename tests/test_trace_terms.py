@@ -24,7 +24,6 @@ from cuspspec.trace_terms import (
     identity_term,
     model_from_json,
     parabolic_p,
-    parabolic_p_asymptotic,
     phi_log_deriv,
     relative_heat_trace,
     scattering_erfc_sum,
@@ -224,7 +223,7 @@ class TestHyperbolicTrace:
 class TestParabolicP:
     def test_asymptotic_full_ladder(self):
         t = 1e-3
-        rel = abs(parabolic_p(t) - parabolic_p_asymptotic(t)) \
+        rel = abs(parabolic_p(t) - expansion_value(P_EXPANSION, t)) \
             / abs(parabolic_p(t))
         assert rel < 1e-6
 
@@ -282,14 +281,12 @@ class TestParabolicP:
     def test_ladder_and_series_meet(self):
         # below t = 3e-7 P(t) is the small-t ladder, above it the series
         t = 3.0001e-7
-        assert abs(parabolic_p_asymptotic(t) - parabolic_p(t)) \
+        assert abs(expansion_value(P_EXPANSION, t) - parabolic_p(t)) \
             <= 1e-14 * abs(parabolic_p(t))
 
     def test_validation(self):
         with pytest.raises(DomainError):
             parabolic_p(0.0)
-        with pytest.raises(DomainError):
-            parabolic_p_asymptotic(2.0)
 
 
 def _sphere():

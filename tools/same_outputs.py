@@ -42,6 +42,12 @@ ARGVS = [
      "--word-radius", "4"],
     ["det", "--group", "once-punctured-torus(3.41)", "--cutoff", "12",
      "--t-max", "8"],
+    # a short curve (length 0.100), and cut heights whose determinant
+    # is past the largest double (exit 3)
+    ["det", "--group", "once-punctured-torus(40.0)", "--cutoff", "12",
+     "--t-max", "8"],
+    ["det", *SPHERE, "--cutoff", "12", "--t-max", "8",
+     "--cusp-starts", "1e300,1e300,1e300"],
 ]
 
 
