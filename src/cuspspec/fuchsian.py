@@ -62,9 +62,11 @@ class Mobius:
     d: float
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if abs(det - 1.0) > 1e-12:
-            raise DomainError("Mobius determinant %r != 1" % det)
+        # ad - bc rounds by about eps (|ad| + |bc|), far past 1e-12 for
+        # products of large entries (tau^2 on a torus of trace tau)
+        ad, bc = self.a * self.d, self.b * self.c
+        if abs(ad - bc - 1.0) > 1e-12 * (abs(ad) + abs(bc)):
+            raise DomainError("Mobius determinant %r != 1" % (ad - bc))
 
     def __matmul__(self, other):
         return Mobius(

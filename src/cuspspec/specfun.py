@@ -11,6 +11,7 @@ All routines raise typed errors from :mod:`cuspspec.errors` instead of
 returning NaN.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -241,8 +242,14 @@ def digamma(z):
 # complementary error function (Faddeeva / Weideman)
 # ----------------------------------------------------------------------
 
-def _weideman_coeffs(n):
-    """Taylor coefficients of the Faddeeva rational approximation."""
+_FADDEEVA_N = 64
+
+
+@functools.cache
+def _weideman_coeffs():
+    """Taylor coefficients of the Faddeeva rational approximation, built
+    on the first erfcx call: only then is numpy.fft imported."""
+    n = _FADDEEVA_N
     m = 2 * n
     ell = math.sqrt(n / math.sqrt(2.0))
     k = np.arange(-m + 1, m)
@@ -252,18 +259,19 @@ def _weideman_coeffs(n):
     return ell, a[1:n + 1][::-1]
 
 
-_FADDEEVA_N = 64
-_FADDEEVA_L, _FADDEEVA_A = _weideman_coeffs(_FADDEEVA_N)
-
-
 def _faddeeva_upper(z):
     """w(z) = e^{-z^2} erfc(-iz) for Im z >= 0 (vectorized)."""
+    ell, coeffs = _weideman_coeffs()
     z = np.asarray(z, dtype=complex)
     iz = 1j * z
-    zz = (_FADDEEVA_L + iz) / (_FADDEEVA_L - iz)
-    p = np.polynomial.polynomial.polyval(zz, _FADDEEVA_A[::-1])
-    return (2.0 * p / (_FADDEEVA_L - iz) ** 2
-            + (1.0 / math.sqrt(math.pi)) / (_FADDEEVA_L - iz))
+    zz = (ell + iz) / (ell - iz)
+    # Horner's rule in numpy.polynomial.polynomial.polyval's order, so
+    # the values are its bits, without importing numpy.polynomial
+    p = coeffs[0] + zz * 0
+    for c in coeffs[1:]:
+        p = c + p * zz
+    return (2.0 * p / (ell - iz) ** 2
+            + (1.0 / math.sqrt(math.pi)) / (ell - iz))
 
 
 def erfcx(z):

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import importlib
 import importlib.util
 import io
@@ -36,6 +37,30 @@ INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                "{config-null-t-max}": json.dumps({"t_max": None}),
                "{config-list-max-length}": json.dumps({"max_length": [1, 2]}),
                "{config-misspelt-key}": json.dumps({"eps_trunk": 0.5})}
+
+
+# `python -m cuspspec.cli ARGV` through runpy, with an atexit hook
+# registered before the import: hooks run last-registered first, so it
+# runs after cli's own and reports the frozen count as stderr's last line
+FROZEN_PROBE = """
+import atexit, gc, os, runpy
+atexit.register(lambda: os.write(2, b"frozen %d" % gc.get_freeze_count()))
+runpy.run_module("cuspspec.cli", run_name="__main__", alter_sys=True)
+"""
+# run one command in process and list the modules it imported beyond
+# numpy's own (numpy 2 loads numpy.fft and numpy.polynomial on first use)
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import numpy
+base = set(sys.modules)
+from cuspspec import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        rc = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+print(json.dumps([rc, sorted(set(sys.modules) - base)]))
+"""
 
 
 def run_cli(*argv):
@@ -443,6 +468,62 @@ class TestErrorChannel:
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
                       "--max-length", "5", "--out", "/nonexistent/dir/x.csv")
         assert out.returncode == 4
+
+
+class TestProcessExit:
+    ARGVS = [
+        (["--help"], 0, None),
+        (["trace", "--group", "thrice-punctured-sphere", "--max-length", "6",
+          "--t", "nan"], 2, "DomainError"),
+        (["spectrum", "--group", "thrice-punctured-sphere",
+          "--max-length", "6"], 0, None),
+    ]
+
+    @pytest.mark.parametrize("argv,code,error", ARGVS)
+    def test_fresh_process_frozen_before_teardown(self, argv, code, error):
+        out = subprocess.run([sys.executable, "-c", FROZEN_PROBE, *argv],
+                             capture_output=True, text=True, timeout=120)
+        stderr, _, frozen = out.stderr.rpartition("frozen ")
+        # the heap the imports built, not a handful of objects
+        assert int(frozen) > 10_000
+        plain = run_cli(*argv)
+        assert (out.returncode, out.stdout, stderr) == (
+            plain.returncode, plain.stdout, plain.stderr)
+        assert out.returncode == code
+        if error is None:
+            assert stderr == ""
+        else:
+            assert json.loads(stderr)["error"] == error
+
+    def test_in_process_main_leaves_gc_alone(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        for argv, code, _ in self.ARGVS:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            assert rc == code
+            assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "6"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-num", "20"],
+    ])
+    def test_commands_without_erfcx_skip_its_set_up(self, argv):
+        # the Faddeeva coefficients (numpy.fft) wait for the first erfcx
+        # call, and numpy.polynomial is never needed; every layer is
+        # still imported, for the benchmark shim to wrap
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                             capture_output=True, text=True, timeout=120)
+        rc, modules = json.loads(out.stdout.splitlines()[-1])
+        assert rc == 0
+        assert "numpy.fft" not in modules
+        assert "numpy.polynomial" not in modules
+        assert {"cuspspec." + m.name for m in pkgutil.iter_modules(
+            cuspspec.__path__)} <= set(modules)
 
 
 # zero, negatives, NaN, the infinities, the smallest subnormal and huge

@@ -154,6 +154,17 @@ class TestMobius:
         ident = p @ p.inv()
         assert abs(ident.a - 1.0) < 1e-12 and abs(ident.b) < 1e-12
 
+    def test_large_entry_product_accepted(self):
+        # entries of size tau^2 round ad - bc to 1 + 2.9e-11
+        a, b = builtin_group("once-punctured-torus(400)").generators
+        p = a @ b.inv()
+        assert abs(p.a * p.d - p.b * p.c - 1.0) > 1e-12
+        assert abs(p.trace - (a.trace * b.trace - (a @ b).trace)) < 1e-6
+
+    def test_unit_entries_off_by_1e9_refused(self):
+        with pytest.raises(DomainError):
+            Mobius(1.0, 1e-9, 0.0, 1.0 + 1e-9)
+
 
 class TestSurfaceData:
     def test_area_gauss_bonnet(self):

@@ -156,6 +156,21 @@ class TestErfc:
                                     * mp.erfc(mp.mpc(zi))) for zi in z])
         assert np.all(np.abs(out - ref) <= 4e-15 * np.abs(ref))
 
+    @pytest.mark.parametrize("z", [
+        np.geomspace(1e-8, 1e4, 300_000),
+        np.random.default_rng(17).uniform(0.0, 40.0, 100_000)
+        + 1j * np.random.default_rng(18).uniform(-40.0, 40.0, 100_000)])
+    def test_horner_is_polyval_bit_for_bit(self, z):
+        # the Faddeeva formula with numpy's own polynomial evaluator: the
+        # Horner loop must reproduce it exactly, on the real line and off
+        from numpy.polynomial.polynomial import polyval
+        ell, coeffs = specfun._weideman_coeffs()
+        # erfcx(z) = w(iz), and w's formula takes i times its argument
+        iz = 1j * (1j * z)
+        ref = (2.0 * polyval((ell + iz) / (ell - iz), coeffs[::-1])
+               / (ell - iz) ** 2 + (1.0 / math.sqrt(math.pi)) / (ell - iz))
+        np.testing.assert_array_equal(specfun.erfcx(z), ref)
+
     @pytest.mark.parametrize("z", [-0.5, np.array([1.0, -30.0]), np.nan])
     def test_erfcx_left_half_plane_refused(self, z):
         with pytest.raises(DomainError):
