@@ -192,6 +192,8 @@ def cmd_scatter_check(args):
 
 
 def cmd_pinch_sweep(args):
+    if not math.isfinite(args.baseline):
+        raise DomainError("--baseline must be finite")
     if args.ell_grid:
         grid = _parse_floats(args.ell_grid)
     else:

@@ -20,6 +20,7 @@ Completeness is only guaranteed within the explored word ball; the
 output records the word radius so callers can reason about truncation.
 """
 
+import functools
 import math
 import re
 import sys
@@ -148,6 +149,12 @@ class LengthSpectrum:
             if e.length - prev <= MERGE_TOL:
                 raise DomainError("duplicate entries within merge tolerance")
             prev = e.length
+
+    @functools.cached_property
+    def length_arrays(self):
+        """(lengths, multiplicities) as float arrays, built once."""
+        return (np.array([e.length for e in self.entries], dtype=float),
+                np.array([e.mult for e in self.entries], dtype=float))
 
 
 _TORUS_RE = re.compile(r"^once-punctured-torus\(([^)]+)\)$")

@@ -259,35 +259,47 @@ def _weideman_coeffs():
     return ell, a[1:n + 1][::-1]
 
 
-def _faddeeva_upper(z):
-    """w(z) = e^{-z^2} erfc(-iz) for Im z >= 0 (vectorized)."""
-    ell, coeffs = _weideman_coeffs()
-    z = np.asarray(z, dtype=complex)
-    iz = 1j * z
-    zz = (ell + iz) / (ell - iz)
-    # Horner's rule in numpy.polynomial.polynomial.polyval's order, so
-    # the values are its bits, without importing numpy.polynomial
+def _horner(zz):
+    """Weideman's polynomial at zz, in place by Horner's rule in
+    numpy.polynomial.polynomial.polyval's order, so the values are its
+    bits, without importing numpy.polynomial."""
+    coeffs = _weideman_coeffs()[1]
     p = coeffs[0] + zz * 0
     for c in coeffs[1:]:
-        p = c + p * zz
-    return (2.0 * p / (ell - iz) ** 2
-            + (1.0 / math.sqrt(math.pi)) / (ell - iz))
+        p *= zz
+        p += c
+    return p
 
 
 def erfcx(z):
     """Scaled complementary error function e^{z^2} erfc(z) for Re z >= 0.
 
-    Scalars in, complex scalar out; arrays in, complex arrays of the same
-    shape out.  Every caller stays on the right half-plane (n sqrt(t) in
-    P(t), sqrt(t)(1/2 - rho) with Re rho < 1/2 in the scattering sum),
-    so Re z < 0 is refused.
+    Real in, real out: a real scalar gives a float and a real array a
+    float array of its shape, equal bit for bit to the real part of the
+    complex evaluation.  A complex scalar gives a complex scalar and a
+    complex array a complex array.  Every caller stays on the right
+    half-plane (n sqrt(t) in P(t), sqrt(t)(1/2 - rho) with Re rho < 1/2
+    in the scattering sum), so Re z < 0 is refused.
     """
-    z_in = np.asarray(z, dtype=complex)
-    if not np.all(z_in.real >= 0):
+    z = np.asarray(z)
+    real = not np.iscomplexobj(z)
+    z = np.asarray(z, dtype=float if real else complex)
+    if not np.all(z.real >= 0):
         raise DomainError("erfcx requires Re z >= 0")
-    # erfcx(z) = w(iz) with Im(iz) >= 0 on the right half-plane
-    out = _faddeeva_upper(1j * z_in)
-    return complex(out) if z_in.ndim == 0 else out
+    # erfcx(z) = w(iz) for w(u) = e^{-u^2} erfc(-iu), Im u >= 0, whose
+    # rational approximation runs in (ell + iu) / (ell - iu), iu = -z
+    ell = _weideman_coeffs()[0]
+    den = ell + z
+    if real:
+        # numpy divides by a complex d + 0j by Smith's method, which
+        # rounds as a * (1.0 / d): each real quotient is written so
+        p = _horner((ell - z) * (1.0 / den))
+        out = ((2.0 * p) * (1.0 / (den * den))
+               + (1.0 / math.sqrt(math.pi)) * (1.0 / den))
+        return float(out) if z.ndim == 0 else out
+    p = _horner((ell - z) / den)
+    out = 2.0 * p / den ** 2 + (1.0 / math.sqrt(math.pi)) / den
+    return complex(out) if z.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

@@ -167,11 +167,9 @@ def hyperbolic_trace(spectrum, t):
     against e^{-k l/2 - (k l)^2/4t} in blocks of bounded size.
     """
     t, shape = _t_array(t, "hyperbolic_trace")
-    entries = spectrum.entries
+    ell, mult = spectrum.length_arrays
     total = np.zeros_like(t)
-    if entries:
-        ell = np.array([e.length for e in entries])
-        mult = np.array([e.mult for e in entries], dtype=float)
+    if ell.size:
         # (k_max * ell)^2 / 4t >= 43 log(10) certifies the Gaussian tail;
         # beyond t = 3000 the prefactor e^{-t/4} is zero in double precision
         t_top = min(float(t.max()), 3000.0)
@@ -181,7 +179,10 @@ def hyperbolic_trace(spectrum, t):
         for row, k in _ragged_blocks(k_max, max(1, _BLOCK // t.size)):
             x = k * ell[row]
             w = mult[row] * 2.0 * ell[row] / (-np.expm1(-x))
-            total += np.exp(-0.5 * x - x * x / four_t) @ w
+            # -x/2 - x^2/4t and its exp in one (t, pair) buffer
+            e = np.divide(x * x, four_t)
+            np.subtract(-0.5 * x, e, out=e)
+            total += np.exp(e, out=e) @ w
     out = np.exp(-t / 4.0) / np.sqrt(16.0 * math.pi * t) * total
     return _shaped(out, shape)
 
@@ -200,13 +201,15 @@ _EM_WEIGHTS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0,
 
 def _hurwitz_zeta(s, a):
     """zeta(s, a) = sum_{n>=0} (n+a)^{-s} by Euler-Maclaurin at n = 0;
-    double precision for integer s >= 3 and a >= 11 (vectorized in a)."""
+    double precision for integer-valued float s >= 3 and a >= 11
+    (vectorized in s and a: a column of orders against a row of a gives
+    one row per order)."""
     out = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** (-s)
-    rising = float(s)  # s (s+1) ... (s+2j-2)
+    rising = s  # s (s+1) ... (s+2j-2)
     power = a ** (-s - 1.0)
     for j, weight in enumerate(_EM_WEIGHTS):
         out = out + weight * rising * power
-        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
+        rising = rising * ((s + 2 * j + 1) * (s + 2 * j + 2))
         power = power / (a * a)
     return out
 
@@ -248,14 +251,14 @@ def _parabolic_series(t):
     series = np.zeros_like(t)
     for row, n in _ragged_blocks(n_direct):
         x = n * rt[row]
-        f = _SQRT_PI / (2.0 * x) - 0.5 * math.pi * specfun.erfcx(x).real
+        f = _SQRT_PI / (2.0 * x) - 0.5 * math.pi * specfun.erfcx(x)
         series += np.bincount(row, weights=f, minlength=t.size)
-    # summand ~ -(sqrt(pi)/2) sum_m c_m x^{-(2m+1)} for x > 12
-    tail = np.zeros_like(t)
-    for m, c in enumerate(_ERFCX_ASYMPTOTIC, start=1):
-        s = 2 * m + 1
-        tail += c * rt ** (-s) * _hurwitz_zeta(s, n_direct + 1.0)
-    series -= 0.5 * _SQRT_PI * tail
+    # summand ~ -(sqrt(pi)/2) sum_m c_m x^{-(2m+1)} for x > 12: one
+    # row per order m, added in order of m
+    s = np.arange(3.0, 22.0, 2.0)[:, None]  # s = 2m + 1
+    tail = (np.array(_ERFCX_ASYMPTOTIC)[:, None] * rt ** -s
+            * _hurwitz_zeta(s, n_direct + 1.0))
+    series -= 0.5 * _SQRT_PI * sum(tail, np.zeros_like(t))
     return 2.0 * np.exp(-t / 4.0) * (
         -np.euler_gamma * _SQRT_PI / (2.0 * rt) + series)
 

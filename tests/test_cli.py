@@ -402,6 +402,8 @@ class TestErrorChannel:
          "--t-max", "1"],
         ["pinch-sweep", "--group", "thrice-punctured-sphere",
          "--cutoff", "6", "--ell-num", "100001"],
+        *(["pinch-sweep", "--group", "thrice-punctured-sphere",
+           "--cutoff", "6", "--baseline", b] for b in ("nan", "inf")),
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]

@@ -171,7 +171,23 @@ class TestErfc:
                / (ell - iz) ** 2 + (1.0 / math.sqrt(math.pi)) / (ell - iz))
         np.testing.assert_array_equal(specfun.erfcx(z), ref)
 
-    @pytest.mark.parametrize("z", [-0.5, np.array([1.0, -30.0]), np.nan])
+    @pytest.mark.parametrize("x", [
+        np.geomspace(1e-8, 1e4, 300_000),
+        np.random.default_rng(19).uniform(0.0, 50.0, 100_000), 0.0])
+    def test_real_path_is_complex_real_part(self, x):
+        # a real argument takes the real path; its values are the real
+        # parts of the complex path's, bit for bit
+        out = specfun.erfcx(x)
+        ref = specfun.erfcx(np.asarray(x).astype(complex))
+        if np.ndim(x) == 0:
+            assert type(out) is float and type(ref) is complex
+        else:
+            assert out.dtype == np.float64 and out.shape == x.shape
+            assert ref.dtype == np.complex128
+        np.testing.assert_array_equal(out, ref.real)
+
+    @pytest.mark.parametrize("z", [-0.5, np.array([1.0, -30.0]), np.nan,
+                                   -0.5 + 0.0j, complex(np.nan, 0.0)])
     def test_erfcx_left_half_plane_refused(self, z):
         with pytest.raises(DomainError):
             specfun.erfcx(z)

@@ -48,6 +48,12 @@ ARGVS = [
      "--t-max", "8"],
     ["det", *SPHERE, "--cutoff", "12", "--t-max", "8",
      "--cusp-starts", "1e300,1e300,1e300"],
+    # P(t)'s longest direct erfcx sums (below t = 3e-7 the ladder runs)
+    ["trace", "--group", "once-punctured-torus(3.2)", "--max-length", "10",
+     "--t", "1e-6,1e-5,1e-4,1e-3"],
+    # the ends of the bench torus band
+    *(["det", "--group", "once-punctured-torus(%s)" % tau, "--cutoff", "12",
+       "--t-max", "8"] for tau in ("3.40", "3.60")),
 ]
 
 
