@@ -13,6 +13,7 @@ values.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from . import zeta_engine
@@ -106,9 +107,9 @@ def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha):
     rows = []
     for ell in grid:
         eigs = [ell * ell] * num_pinched
-        # ell^2 underflows to 0 below ell ~ 2e-162, where its log is -inf
-        if any(v <= 0 for v in eigs):
-            raise DomainError("small eigenvalues must be positive")
+        # below ell ~ 1.49e-154, ell^2 is subnormal and its log loses digits
+        if any(v < sys.float_info.min for v in eigs):
+            raise DomainError("small eigenvalues must be normal doubles")
         wsum = num_pinched * wolpert_sum(ell) if indices else 0.0
         wasym = (num_pinched * wolpert_asymptotic(ell)
                  if indices and ell <= 0.5 else 0.0)

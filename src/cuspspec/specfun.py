@@ -279,13 +279,14 @@ def erfcx(z):
     complex evaluation.  A complex scalar gives a complex scalar and a
     complex array a complex array.  Every caller stays on the right
     half-plane (n sqrt(t) in P(t), sqrt(t)(1/2 - rho) with Re rho < 1/2
-    in the scattering sum), so Re z < 0 is refused.
+    in the scattering sum), so Re z < 0 is refused, and so are a
+    non-finite part and |z| > 1e154, past which (ell + z)^2 overflows.
     """
     z = np.asarray(z)
     real = not np.iscomplexobj(z)
     z = np.asarray(z, dtype=float if real else complex)
-    if not np.all(z.real >= 0):
-        raise DomainError("erfcx requires Re z >= 0")
+    if not np.all(np.isfinite(z) & (z.real >= 0) & (np.abs(z) <= 1e154)):
+        raise DomainError("erfcx requires finite z, Re z >= 0, |z| <= 1e154")
     # erfcx(z) = w(iz) for w(u) = e^{-u^2} erfc(-iu), Im u >= 0, whose
     # rational approximation runs in (ell + iu) / (ell - iu), iu = -z
     ell = _weideman_coeffs()[0]

@@ -26,7 +26,7 @@ __all__ = [
     "parabolic_p", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
     "cut_height_term", "heat_trace_columns", "relative_heat_trace",
-    "cusp_term_expansion", "heat_trace_expansion", "model_from_json",
+    "cusp_term_expansion", "model_from_json",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -381,23 +381,6 @@ def cusp_term_expansion():
     integer ones cancel e^{-t/4}/2 = 1/2 - t/8 + ... exactly."""
     return (tuple((a, k, -c / math.pi) for a, k, c in P_EXPANSION if a % 1.0)
             + _gaussian_expansion(-math.log(2.0)))
-
-
-def heat_trace_expansion(surface, cusp_starts):
-    """Small-t expansion of :func:`relative_heat_trace` as (alpha, k, c)
-    terms, column by column and unmerged (the Mellin engine sums repeated
-    powers): the heat coefficients of the identity term, the cut-height
-    Gaussian, and m copies of :func:`cusp_term_expansion`; the geodesic
-    sum is exponentially small and contributes nothing.
-    """
-    area = surface.area
-    return (
-        # identity term: (area/4pi)(1/t - 1/3 + t/15 + ...)
-        (-1.0, 0, area / (4.0 * math.pi)),
-        (0.0, 0, -area / (12.0 * math.pi)),
-        (1.0, 0, area / (60.0 * math.pi)),
-        *_gaussian_expansion(cusp_starts.log_sum),
-        *((a, k, surface.cusps * c) for a, k, c in cusp_term_expansion()))
 
 
 # ----------------------------------------------------------------------

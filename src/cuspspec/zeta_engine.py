@@ -16,11 +16,11 @@ only the expansion remainder and the mid-range integral are quadratures.
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import trace_terms
+from . import specfun, trace_terms
 from .errors import (
     DomainError,
     ExpansionMismatchError,
@@ -32,7 +32,8 @@ from .specfun import QuadratureSpec, integrate
 
 __all__ = [
     "ZetaResult", "RelativeDeterminantResult",
-    "mellin_zeta_prime0", "xi_prime0", "relative_determinant",
+    "mellin_zeta_prime0", "xi_prime0", "identity_zeta_prime0",
+    "relative_determinant",
 ]
 
 # log of the largest double: exp(-zeta'(0)) overflows above it
@@ -84,8 +85,7 @@ def _tail_estimate(theta, h, t_max, min_decay):
     Returns (tail_value, tail_error).  A tail already below the noise
     floor contributes zero.
     """
-    t_lo = max(1.0, t_max / 10.0)
-    ts = np.geomspace(t_lo, t_max, _TAIL_POINTS)
+    ts = np.geomspace(max(1.0, t_max / 10.0), t_max, _TAIL_POINTS)
     ys = theta(ts) - h
     ay = np.abs(ys)
     if np.max(ay) < 1e-280:
@@ -111,7 +111,7 @@ def _tail_estimate(theta, h, t_max, min_decay):
     return tail, abs(tail) * max(resid, 0.05)
 
 
-def mellin_zeta_prime0(theta, terms, h, t_max, t_lo=0.0, min_decay=0.2):
+def mellin_zeta_prime0(theta, terms, h, t_max, min_decay=0.2):
     """zeta'(0) and determinant exp(-zeta'(0)) of a trace function.
 
     theta: array-valued callable t -> Tr(relative heat operator); it is
@@ -123,19 +123,11 @@ def mellin_zeta_prime0(theta, terms, h, t_max, t_lo=0.0, min_decay=0.2):
     h: large-t limit of theta (dimension of the kernel difference).
     t_max: end of the numerically trusted window (finite, at least
     1 + _TAIL_MIN_WIDTH).
-    t_lo: optional positive cut below which the expansion remainder is
-    not evaluated numerically, for a theta whose remainder is lost to
-    cancellation as t -> 0 (a surface trace of order area/(4 pi t)
-    minus its expansion leaves rounding noise of that order); the
-    dropped piece is bounded from the local power of the remainder and
-    charged to small_t_error.
     min_decay: lower bound demanded of the fitted tail decay rate.
     """
     if not (math.isfinite(t_max) and t_max - 1.0 >= _TAIL_MIN_WIDTH):
         raise DomainError("t_max must be finite and >= 1 + %g"
                           % _TAIL_MIN_WIDTH)
-    if not 0.0 <= t_lo < 1.0:
-        raise DomainError("t_lo must lie in [0, 1)")
 
     if any(a == 0.0 and k > 0 for a, k, _ in terms):
         raise DomainError("the alpha = 0 term may not carry a log factor")
@@ -147,15 +139,13 @@ def mellin_zeta_prime0(theta, terms, h, t_max, t_lo=0.0, min_decay=0.2):
             analytic += c * (-1.0) ** k * math.factorial(k) / a ** (k + 1)
 
     # one theta call for the probes: the remainder at probe_hi and
-    # probe_lo, the scale theta(1) and the remainder at the cut t_lo
-    probe_hi = 1e-2
-    probe_lo = max(1e-3, 2.0 * t_lo) if t_lo > 0 else 1e-3
-    probes = np.array([probe_hi, probe_lo, 1.0, t_lo if t_lo > 0 else 1.0])
+    # probe_lo, and the scale theta(1)
+    probe_hi, probe_lo = 1e-2, 1e-3
+    probes = np.array([probe_hi, probe_lo, 1.0])
     theta_probes = np.asarray(theta(probes), dtype=float)
     if theta_probes.shape != probes.shape:
         raise DomainError("theta must return an array of the shape of t")
-    r_hi, r_lo, _, r_cut = (theta_probes
-                            - trace_terms.expansion_value(terms, probes))
+    r_hi, r_lo, _ = theta_probes - trace_terms.expansion_value(terms, probes)
     scale = 1.0 + abs(theta_probes[2])
     # remainder decay check: the subtracted theta must vanish with a
     # positive local power as t -> 0
@@ -167,18 +157,10 @@ def mellin_zeta_prime0(theta, terms, h, t_max, t_lo=0.0, min_decay=0.2):
                 "expansion remainder does not vanish towards t=0 "
                 "(local power %.3f)" % p_hat)
 
-    # small-t remainder integral int_{t_lo}^1 R(t)/t dt with t = u^2
-    u_lo = math.sqrt(t_lo)
-
-    def small_integrand(u):
-        t = u * u
-        return (theta(t) - trace_terms.expansion_value(terms, t)) * 2.0 / u
-
-    small = integrate(small_integrand, u_lo, 1.0, spec=_MELLIN_SPEC)
-    small_err = small.error
-    if t_lo > 0.0:
-        # charge the dropped piece int_0^{t_lo} |R|/t ~ |R(t_lo)|/p
-        small_err += abs(r_cut) / 0.5
+    # small-t remainder integral int_0^1 R(t)/t dt with t = u^2
+    small = integrate(
+        lambda u: (theta(u * u) - trace_terms.expansion_value(terms, u * u))
+        * 2.0 / u, 0.0, 1.0, spec=_MELLIN_SPEC)
 
     mid = integrate(lambda t: (theta(t) - h) / t, 1.0, t_max,
                     spec=_MELLIN_SPEC)
@@ -186,7 +168,7 @@ def mellin_zeta_prime0(theta, terms, h, t_max, t_lo=0.0, min_decay=0.2):
     tail, tail_err = _tail_estimate(theta, h, t_max, min_decay)
 
     zp = analytic + small.value + mid.value + tail
-    return ZetaResult(zp, small_err, mid.error + tail_err)
+    return ZetaResult(zp, small.error, mid.error + tail_err)
 
 
 def xi_prime0(num_cusps):
@@ -202,6 +184,26 @@ def xi_prime0(num_cusps):
     if num_cusps < 0:
         raise DomainError("cusp count must be >= 0")
     return -1.5 * num_cusps * math.log(2.0)
+
+
+# zeta'(-1) = -0.16542114370045092921..., the nearest double
+_ZETA_PRIME_M1 = -0.16542114370045093
+
+
+def identity_zeta_prime0(area):
+    """zeta'(0) of trace_terms.identity_term(area, t): -(area/2pi)
+    (2 zeta'(-1) - 1/4 + log(2 pi)/2), the constant of D'Hoker-Phong
+    (CMP 1986) and Sarnak (CMP 1987)."""
+    return -area / (2.0 * math.pi) * (
+        2.0 * _ZETA_PRIME_M1 - 0.25 + 0.5 * math.log(2.0 * math.pi))
+
+
+def _integral_from_one(f):
+    """int_1^inf f(t)/t dt for f = O(e^{-t/4}) on 8 doubling Kronrod
+    panels [2^j, 2^{j+1}]; past 256, e^{-t/4} < 1.6e-28.  Built per call:
+    arrays kept at import move the commands' peak resident set."""
+    t, w = specfun.kronrod_grid(2.0 ** np.arange(9))
+    return float((w / t) @ f(t))
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +222,11 @@ def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc=0.02):
     """Relative determinant of the Laplacian of the spectrum's surface
     against the reference cusp model, through the Mellin engine.
 
+    The engine sees theta only from t = 1 on and its geodesic column
+    below 1, which vanishes there faster than any power; the other
+    columns' share of (0, 1) is their exact zeta'(0) less their integral
+    over [1, inf), since zeta'(0) is linear in theta.
+
     The truncated length spectrum only represents the heat trace up to
     t_max <= cutoff^2 / (4 log(1/eps_trunc)); beyond that the missing
     geodesics would contribute more than eps_trunc through the Gaussian
@@ -234,17 +241,23 @@ def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc=0.02):
             % (t_max, bound, spectrum.cutoff, need),
             required_cutoff=need)
 
-    # the identity term's area/(4 pi t) cancels against the expansion in
-    # floating point, so the remainder is cut at t = 1e-5.  At cutoff 12,
-    # t-max 8 the dropped piece is charged 2.3e-8 on the sphere and
-    # 7.7e-9 on torus(3.47), against 1.5e-5 and 5.0e-6 at a cut of 1e-3.
-    # A cut of 1e-6 gives -5.535969711006 and -2.203095249203, inside
-    # those bars; at 1e-7 the small-t integral fails after 4000
-    # subdivisions (8002 theta calls, 370 s on a 2-core Xeon)
-    zeta = mellin_zeta_prime0(
-        lambda t: trace_terms.relative_heat_trace(spectrum, cusp_starts, t),
-        trace_terms.heat_trace_expansion(spectrum.surface, cusp_starts),
-        float(spectrum.surface.components), t_max, t_lo=1e-5)
-    det_hyp = zeta.determinant / math.exp(-xi_prime0(spectrum.surface.cusps))
-    return RelativeDeterminantResult(zeta=zeta, det_hyp=det_hyp)
+    def theta(t):
+        out = np.empty_like(t)
+        early = t < 1.0
+        if early.any():
+            out[early] = trace_terms.hyperbolic_trace(spectrum, t[early])
+        if not early.all():
+            out[~early] = trace_terms.relative_heat_trace(
+                spectrum, cusp_starts, t[~early])
+        return out
 
+    surface = spectrum.surface
+    zeta = mellin_zeta_prime0(theta, (), float(surface.components), t_max)
+    model = (identity_zeta_prime0(surface.area) + xi_prime0(surface.cusps)
+             - 0.5 * cusp_starts.log_sum) - _integral_from_one(
+        lambda t: (trace_terms.identity_term(surface.area, t)
+                   + surface.cusps * trace_terms.cusp_term(t)
+                   + trace_terms.cut_height_term(cusp_starts, t)))
+    zeta = replace(zeta, zeta_prime_zero=zeta.zeta_prime_zero + model)
+    det_hyp = zeta.determinant / math.exp(-xi_prime0(surface.cusps))
+    return RelativeDeterminantResult(zeta=zeta, det_hyp=det_hyp)

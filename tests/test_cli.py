@@ -36,7 +36,11 @@ INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                "{config-not-object}": "[1]",
                "{config-null-t-max}": json.dumps({"t_max": None}),
                "{config-list-max-length}": json.dumps({"max_length": [1, 2]}),
-               "{config-misspelt-key}": json.dumps({"eps_trunk": 0.5})}
+               "{config-misspelt-key}": json.dumps({"eps_trunk": 0.5}),
+               "{model-far-resonance}": json.dumps(
+                   {"q": 2.0, "resonances": [
+                       {"re": -1e160, "im": im, "order": 1}
+                       for im in (1.0, -1.0)]})}
 
 
 # `python -m cuspspec.cli ARGV` through runpy, with an atexit hook
@@ -404,6 +408,11 @@ class TestErrorChannel:
          "--cutoff", "6", "--ell-num", "100001"],
         *(["pinch-sweep", "--group", "thrice-punctured-sphere",
            "--cutoff", "6", "--baseline", b] for b in ("nan", "inf")),
+        # resonances past erfcx's range, and an ell whose ell^2 is not a
+        # normal double
+        ["scatter-check", "--model", "{model-far-resonance}", "--t", "1"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-grid", "1e-160"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]

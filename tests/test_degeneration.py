@@ -89,6 +89,18 @@ class TestPinchSweep:
         with pytest.raises(DomainError):
             pinch_sweep(spec, [99], [0.1], 0.0)
 
+    def test_subnormal_eigenvalue_refused(self):
+        # ell^2 below the least normal double loses digits in its log
+        # (ell = 1e-161 read 0.07 off 2 log ell); just above it the log
+        # sum is mult * 2 log ell
+        spec = self._base()
+        for ell in (1e-160, 1.49e-154):
+            with pytest.raises(DomainError):
+                pinch_sweep(spec, [0], [ell], 0.0)
+        row = pinch_sweep(spec, [0], [1.5e-154], 0.0)[0]
+        exact = spec.entries[0].mult * 2.0 * math.log(1.5e-154)
+        assert abs(row.small_eig_logsum / exact - 1.0) < 1e-15
+
     def test_row_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             PinchSweepRow(0.1, math.inf, 0.0, 0.0, 0.0, 0.0)

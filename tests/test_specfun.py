@@ -186,8 +186,14 @@ class TestErfc:
             assert ref.dtype == np.complex128
         np.testing.assert_array_equal(out, ref.real)
 
+    # Re z < 0 or NaN, an infinite part, and |z| past 1e154, where
+    # (ell + z)^2 overflows
     @pytest.mark.parametrize("z", [-0.5, np.array([1.0, -30.0]), np.nan,
-                                   -0.5 + 0.0j, complex(np.nan, 0.0)])
+                                   -0.5 + 0.0j, complex(np.nan, 0.0),
+                                   math.inf, complex(1.0, math.inf),
+                                   complex(math.inf, 1.0),
+                                   complex(1.0, math.nan), 1.4e154, 1e155j,
+                                   np.array([1.0, math.inf])])
     def test_erfcx_left_half_plane_refused(self, z):
         with pytest.raises(DomainError):
             specfun.erfcx(z)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import engine_cusp_constant
+from cuspspec import zeta_engine
 from cuspspec.cusp_model import CuspFamily
 from cuspspec.errors import (
     DomainError,
@@ -17,12 +18,16 @@ from cuspspec.errors import (
 )
 from cuspspec.fuchsian import builtin_group, enumerate_length_spectrum
 from cuspspec.trace_terms import (
+    cusp_term,
+    cusp_term_expansion,
+    cut_height_term,
     expansion_value,
-    heat_trace_expansion,
+    identity_term,
     relative_heat_trace,
 )
 from cuspspec.zeta_engine import (
     ZetaResult,
+    identity_zeta_prime0,
     max_t_for_cutoff,
     mellin_zeta_prime0,
     relative_determinant,
@@ -46,6 +51,13 @@ GAUSSIAN_TERMS = (
 
 def _finite_spectrum_terms(n):
     return ((0.0, 0, float(n)),)
+
+
+def _identity_terms(area):
+    """Heat coefficients of identity_term: (area/4pi)(1/t - 1/3 + t/15)."""
+    return ((-1.0, 0, area / (4.0 * math.pi)),
+            (0.0, 0, -area / (12.0 * math.pi)),
+            (1.0, 0, area / (60.0 * math.pi)))
 
 
 class TestZetaResult:
@@ -229,54 +241,87 @@ class TestCuspConstant:
             xi_prime0(-1)
 
 
-class TestSurfaceExpansion:
-    def test_matches_trace_at_small_t(self):
-        g = builtin_group("thrice-punctured-sphere")
-        spec = enumerate_length_spectrum(g, 8.0, 8)
-        fam = CuspFamily((1.0, 2.0, 1.5))
-        terms = heat_trace_expansion(g.surface, fam)
-        for t in (1e-2, 1e-3):
-            theta = relative_heat_trace(spec, fam, t)
-            approx = float(expansion_value(terms, t))
-            assert abs(theta - approx) < 5e-2 * abs(theta) * t ** 0.5 + 1e-4
+class TestModelColumns:
+    """zeta'(0) of theta's identity, cusp and cut-height columns in closed
+    form, and their integrals over [1, inf) on relative_determinant's
+    fixed grid."""
 
-    def test_h_counts_components(self):
-        # relative_determinant subtracts h = 1, the one component of the
-        # surface, as its large-t constant
-        g = builtin_group("thrice-punctured-sphere")
-        spec = enumerate_length_spectrum(g, 6.0, 6)
-        fam = CuspFamily((1.0, 1.0, 1.0))
-        ref = mellin_zeta_prime0(
-            lambda t: relative_heat_trace(spec, fam, t),
-            heat_trace_expansion(g.surface, fam), 1.0, 2.0, t_lo=1e-5)
-        assert relative_determinant(spec, fam, 2.0).zeta == ref
+    def test_zeta_prime_minus_one(self):
+        with mp.workdps(40):
+            ref = mp.zeta(-1, derivative=1)
+            gap = abs(mp.mpf(zeta_engine._ZETA_PRIME_M1) - ref)
+        assert gap <= math.ulp(zeta_engine._ZETA_PRIME_M1)
 
-    def test_leading_term_is_area_over_4pi(self):
-        g = builtin_group("thrice-punctured-sphere")
-        a, k, c = heat_trace_expansion(g.surface,
-                                       CuspFamily((1.0, 1.0, 1.0)))[0]
-        assert (a, k) == (-1.0, 0)
-        assert abs(c - g.surface.area / (4.0 * math.pi)) < 1e-14
+    def test_identity_closed_form_against_engine(self):
+        # the engine on the identity term alone, with no small-t cut
+        # (gap 2.6e-11)
+        area = 2.0 * math.pi
+        res = mellin_zeta_prime0(lambda t: identity_term(area, t),
+                                 _identity_terms(area), 0.0, t_max=60.0)
+        assert abs(res.zeta_prime_zero - identity_zeta_prime0(area)) < 1e-10
+
+    def test_identity_share_from_one(self):
+        # int_1^inf e^{-tx}/t dt = E1(x) under the defining integral
+        share = zeta_engine._integral_from_one(lambda t: identity_term(1.0, t))
+        with mp.workdps(25):
+            ref = mp.quad(lambda lam: lam * mp.tanh(mp.pi * lam)
+                          * mp.e1(mp.mpf(1) / 4 + lam * lam),
+                          [0, 1, 2, 4, mp.inf]) / (2 * mp.pi)
+        assert abs(share / ref - 1.0) < 1e-14
+
+    def test_cusp_share_from_one(self):
+        share = zeta_engine._integral_from_one(cusp_term)
+        with mp.workdps(25):
+            quarter = mp.mpf(1) / 4
+            p_part = mp.quad(lambda r: mp.re(mp.digamma(1 + 1j * r))
+                             * mp.e1(quarter + r * r), [0, 1, 2, 4, mp.inf])
+            gauss = mp.quad(lambda t: mp.exp(-t / 4) * t ** -1.5,
+                            [1, 4, 16, mp.inf]) / mp.sqrt(4 * mp.pi)
+            ref = (-2 / mp.pi * p_part - mp.log(2) * gauss
+                   + mp.e1(quarter) / 2)
+        assert abs(share / ref - 1.0) < 1e-14
+
+    def test_cut_height_share_from_one(self):
+        # int_1^inf e^{-t/4} t^{-3/2} dt = 2 e^{-1/4} - sqrt(pi) erfc(1/2)
+        share = zeta_engine._integral_from_one(
+            lambda t: cut_height_term(CuspFamily((math.e,)), t))
+        with mp.workdps(25):
+            half = mp.mpf(1) / 2
+            ref = ((2 * mp.exp(-half / 2) - mp.sqrt(mp.pi) * mp.erfc(half))
+                   / (2 * mp.sqrt(mp.pi)))
+        assert abs(share / ref - 1.0) < 1e-14
 
 
 class TestRelativeDeterminant:
-    @pytest.mark.parametrize("name, cutoff, t_max", [
-        ("thrice-punctured-sphere", 6.0, 2.0),
-        ("once-punctured-torus(3.47)", 8.0, 3.0)])
-    def test_small_t_cut_charged(self, name, cutoff, t_max):
-        # the piece below the small-t cut, against the engine cut ten
-        # times closer to t = 0: small_t_error covers the gap (7.6e-9 on
-        # the sphere, 2.5e-9 on the torus) and stays below 1e-7
+    @pytest.mark.parametrize("name, cutoff, t_max, starts", [
+        ("thrice-punctured-sphere", 6.0, 2.0, None),
+        ("once-punctured-torus(3.47)", 8.0, 3.0, None),
+        ("thrice-punctured-sphere", 6.0, 2.0, (2.0, 1.5, 3.3))])
+    def test_matches_full_theta_reference(self, name, cutoff, t_max, starts):
+        # the engine on the whole of theta with h = 1 and theta's ladder
+        # written out here; below 1e-6, where area/(4 pi t) leaves only
+        # rounding noise in the remainder, theta is replaced by its
+        # ladder.  The gaps are 3.7e-10, 9.8e-11 and 3.7e-10; a small-t
+        # cut at 1e-5 gave 7.6e-9, 2.6e-9 and 7.2e-9
         g = builtin_group(name)
         spec = enumerate_length_spectrum(g, cutoff)
-        fam = CuspFamily((1.0,) * g.surface.cusps)
+        fam = CuspFamily(starts or (1.0,) * g.surface.cusps)
+        terms = (_identity_terms(g.surface.area)
+                 + tuple((a, k, fam.log_sum * c) for a, k, c in GAUSSIAN_TERMS)
+                 + tuple((a, k, g.surface.cusps * c)
+                         for a, k, c in cusp_term_expansion()))
+
+        def theta(t):
+            out = expansion_value(terms, t)
+            keep = t >= 1e-6
+            if keep.any():
+                out[keep] = relative_heat_trace(spec, fam, t[keep])
+            return out
+
+        ref = mellin_zeta_prime0(theta, terms, 1.0, t_max)
         res = relative_determinant(spec, fam, t_max).zeta
-        ref = mellin_zeta_prime0(
-            lambda t: relative_heat_trace(spec, fam, t),
-            heat_trace_expansion(g.surface, fam), 1.0, t_max, t_lo=1e-6)
-        assert res.small_t_error < 1e-7
-        assert abs(res.zeta_prime_zero - ref.zeta_prime_zero) \
-            <= res.small_t_error
+        assert res.small_t_error <= 1e-9
+        assert abs(res.zeta_prime_zero - ref.zeta_prime_zero) <= 1e-9
 
     def test_truncation_rule(self):
         assert abs(max_t_for_cutoff(12.0, 1e-4)

@@ -54,6 +54,12 @@ ARGVS = [
     # the ends of the bench torus band
     *(["det", "--group", "once-punctured-torus(%s)" % tau, "--cutoff", "12",
        "--t-max", "8"] for tau in ("3.40", "3.60")),
+    # the geodesic column alone refused at the probes (exit 3), and one
+    # cut height on a torus
+    ["det", "--group", "once-punctured-torus(100.0)", "--cutoff", "12",
+     "--t-max", "8"],
+    ["det", "--group", "once-punctured-torus(3.47)", "--cutoff", "12",
+     "--t-max", "8", "--cusp-starts", "2.5"],
 ]
 
 
