@@ -17,6 +17,9 @@ import math
 import os
 import sys
 
+# no command does BLAS-sized work (2x2 matrices): no idle worker thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

@@ -107,8 +107,10 @@ def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha):
     rows = []
     for ell in grid:
         eigs = [ell * ell] * num_pinched
-        # below ell ~ 1.49e-154, ell^2 is subnormal and its log loses digits
-        if any(v < sys.float_info.min for v in eigs):
+        # below ell ~ 1.49e-154, ell^2 is subnormal and its log loses
+        # digits; above ell ~ 1.34e154 it overflows
+        if not all(sys.float_info.min <= v <= sys.float_info.max
+                   for v in eigs):
             raise DomainError("small eigenvalues must be normal doubles")
         wsum = num_pinched * wolpert_sum(ell) if indices else 0.0
         wasym = (num_pinched * wolpert_asymptotic(ell)

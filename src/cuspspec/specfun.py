@@ -11,7 +11,6 @@ All routines raise typed errors from :mod:`cuspspec.errors` instead of
 returning NaN.
 """
 
-import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -242,30 +241,44 @@ def digamma(z):
 # complementary error function (Faddeeva / Weideman)
 # ----------------------------------------------------------------------
 
-_FADDEEVA_N = 64
-
-
-@functools.cache
-def _weideman_coeffs():
-    """Taylor coefficients of the Faddeeva rational approximation, built
-    on the first erfcx call: only then is numpy.fft imported."""
-    n = _FADDEEVA_N
-    m = 2 * n
-    ell = math.sqrt(n / math.sqrt(2.0))
-    k = np.arange(-m + 1, m)
-    t = ell * np.tan(k * math.pi / (2 * m))
-    fvals = np.concatenate([[0.0], np.exp(-t * t) * (ell * ell + t * t)])
-    a = np.real(np.fft.fft(np.fft.fftshift(fvals))) / (2 * m)
-    return ell, a[1:n + 1][::-1]
+# Weideman's rational approximation to the Faddeeva function w with
+# N = 64 terms (SIAM J. Numer. Anal. 31, 1994): L = sqrt(N / sqrt 2) and
+# the polynomial's coefficients, highest power first.  Each literal is
+# the double that Weideman's FFT construction gives with numpy's FFT
+# (tests/test_specfun.py rebuilds it), so no process imports numpy.fft.
+_WEIDEMAN_L = 6.727171322029716
+_WEIDEMAN_COEFFS = (
+    -1.1102230246251565e-16, -1.942890293094024e-16, -1.6653345369377348e-16,
+    0.0, -8.326672684688674e-17, 0.0,
+    -2.0816681711721685e-16, -2.8449465006019636e-16, -1.1102230246251565e-16,
+    -2.0122792321330962e-16, -5.551115123125783e-17, -1.734723475976807e-17,
+    0.0, 9.627715291671279e-17, 2.3418766925686896e-17,
+    3.165870343657673e-17, 7.654467337747661e-17, 7.03376159399971e-17,
+    9.717161970901333e-17, -6.197909481649166e-17, 1.5863825959241615e-16,
+    4.865099962770973e-16, -8.855116948707824e-16, -4.417626009263682e-15,
+    -2.6578462531507983e-16, 3.288807271621852e-14, 5.911638969536339e-14,
+    -1.5497006588478766e-13, -7.920773182343549e-13, -3.9390109339467e-13,
+    5.8326306509782436e-12, 1.7501411697665753e-11, -6.470633436423956e-12,
+    -1.7560602473733885e-10, -4.5339138480823207e-10, 2.4434796065217287e-10,
+    5.186955758228821e-09, 1.5926813974737932e-08, 7.435710901039703e-09,
+    -1.361026123703508e-07, -6.650424120290089e-07, -1.554772278284668e-06,
+    -7.564244114006555e-08, 1.7901801586069494e-05, 0.00010227006798914739,
+    0.0003962745103980934, 0.0012549788049981303, 0.0034602079481075333,
+    0.008565381413175907, 0.019380399024538263, 0.04055284652958008,
+    0.0791165506760257, 0.14477859973586413, 0.24963969994535562,
+    0.4070443030398735, 0.6293868343374367, 0.9249760252638086,
+    1.294437751717516, 1.727506085787117, 2.20125657128641,
+    2.680732639559084, 3.1224481894020366, 3.480496103985042,
+    3.7141697931977022,
+)
 
 
 def _horner(zz):
     """Weideman's polynomial at zz, in place by Horner's rule in
     numpy.polynomial.polynomial.polyval's order, so the values are its
     bits, without importing numpy.polynomial."""
-    coeffs = _weideman_coeffs()[1]
-    p = coeffs[0] + zz * 0
-    for c in coeffs[1:]:
+    p = _WEIDEMAN_COEFFS[0] + zz * 0
+    for c in _WEIDEMAN_COEFFS[1:]:
         p *= zz
         p += c
     return p
@@ -289,7 +302,7 @@ def erfcx(z):
         raise DomainError("erfcx requires finite z, Re z >= 0, |z| <= 1e154")
     # erfcx(z) = w(iz) for w(u) = e^{-u^2} erfc(-iu), Im u >= 0, whose
     # rational approximation runs in (ell + iu) / (ell - iu), iu = -z
-    ell = _weideman_coeffs()[0]
+    ell = _WEIDEMAN_L
     den = ell + z
     if real:
         # numpy divides by a complex d + 0j by Smith's method, which

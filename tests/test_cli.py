@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import pathlib
 import pkgutil
 import re
@@ -413,6 +414,10 @@ class TestErrorChannel:
         ["scatter-check", "--model", "{model-far-resonance}", "--t", "1"],
         ["pinch-sweep", "--group", "thrice-punctured-sphere",
          "--cutoff", "6", "--ell-grid", "1e-160"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-grid", "1e300"],
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--ell-start", "1e200"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]
@@ -524,9 +529,9 @@ class TestProcessExit:
          "--cutoff", "6", "--ell-num", "20"],
     ])
     def test_commands_without_erfcx_skip_its_set_up(self, argv):
-        # the Faddeeva coefficients (numpy.fft) wait for the first erfcx
-        # call, and numpy.polynomial is never needed; every layer is
-        # still imported, for the benchmark shim to wrap
+        # neither numpy.fft (erfcx's table is literal) nor
+        # numpy.polynomial is needed; every layer is still imported, for
+        # the benchmark shim to wrap
         out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
                              capture_output=True, text=True, timeout=120)
         rc, modules = json.loads(out.stdout.splitlines()[-1])
@@ -535,6 +540,45 @@ class TestProcessExit:
         assert "numpy.polynomial" not in modules
         assert {"cuspspec." + m.name for m in pkgutil.iter_modules(
             cuspspec.__path__)} <= set(modules)
+
+    @pytest.mark.parametrize("argv", [
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "6",
+         "--t-max", "2"],
+        ["trace", "--group", "thrice-punctured-sphere", "--max-length", "6",
+         "--t", "1e-8,0.5,2"],
+        ["scatter-check", "--model", "{model}", "--t", "0.5,1,2"],
+        ["selfcheck"],
+    ])
+    def test_erfcx_commands_import_no_fft(self, argv, tmp_path):
+        # these run erfcx (P(t) or the scattering sum) on its literal
+        # Weideman table
+        model = tmp_path / "model.json"
+        model.write_text(INPUT_FILES["{model}"])
+        argv = [str(model) if a == "{model}" else a for a in argv]
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
+                             capture_output=True, text=True, timeout=120)
+        rc, modules = json.loads(out.stdout.splitlines()[-1])
+        assert rc == 0
+        assert "numpy.fft" not in modules
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs Linux /proc/self/task")
+    @pytest.mark.parametrize("preset,value", [(None, "1"), ("2", "2")])
+    def test_one_blas_thread(self, preset, value):
+        # importing the CLI sets OPENBLAS_NUM_THREADS=1 before numpy
+        # loads, unless the caller set it, so OpenBLAS starts no worker
+        probe = ("import os, cuspspec.cli; print(len(os.listdir("
+                 "'/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        tasks, seen = out.stdout.split()
+        assert seen == value
+        if preset is None:
+            assert tasks == "1"
 
 
 # zero, negatives, NaN, the infinities, the smallest subnormal and huge

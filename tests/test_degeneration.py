@@ -101,6 +101,18 @@ class TestPinchSweep:
         exact = spec.entries[0].mult * 2.0 * math.log(1.5e-154)
         assert abs(row.small_eig_logsum / exact - 1.0) < 1e-15
 
+    def test_overflowing_eigenvalue_refused(self):
+        # ell^2 past the largest double is refused as an eigenvalue, not
+        # later as a non-finite row column; just below it the log sum is
+        # mult * 2 log ell
+        spec = self._base()
+        for ell in (1e300, 1.35e154):
+            with pytest.raises(DomainError, match="normal doubles"):
+                pinch_sweep(spec, [0], [ell], 0.0)
+        row = pinch_sweep(spec, [0], [1.34e154], 0.0)[0]
+        exact = spec.entries[0].mult * 2.0 * math.log(1.34e154)
+        assert abs(row.small_eig_logsum / exact - 1.0) < 1e-15
+
     def test_row_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             PinchSweepRow(0.1, math.inf, 0.0, 0.0, 0.0, 0.0)

@@ -14,6 +14,19 @@ from cuspspec.specfun import QuadratureSpec
 BESSEL_XS = (2.0, 2.0 * math.pi, 5.0, 12.0, 2000.0)
 
 
+def weideman_fft(n=64):
+    """L and the coefficients of Weideman's N-term Faddeeva approximation
+    (SIAM J. Numer. Anal. 31, 1994), highest power first, built by his
+    FFT construction with numpy's FFT."""
+    m = 2 * n
+    ell = math.sqrt(n / math.sqrt(2.0))
+    k = np.arange(-m + 1, m)
+    t = ell * np.tan(k * math.pi / (2 * m))
+    fvals = np.concatenate([[0.0], np.exp(-t * t) * (ell * ell + t * t)])
+    a = np.real(np.fft.fft(np.fft.fftshift(fvals))) / (2 * m)
+    return ell, a[1:n + 1][::-1]
+
+
 class TestIntegrate:
     def test_gaussian_half_line(self):
         res = specfun.integrate(lambda x: np.exp(-x * x), 0.0, np.inf)
@@ -156,6 +169,15 @@ class TestErfc:
                                     * mp.erfc(mp.mpc(zi))) for zi in z])
         assert np.all(np.abs(out - ref) <= 4e-15 * np.abs(ref))
 
+    def test_weideman_table_is_fft_build(self):
+        # the literals are the FFT construction's doubles, bit for bit
+        ell, coeffs = weideman_fft()
+        assert specfun._WEIDEMAN_L == ell
+        assert len(specfun._WEIDEMAN_COEFFS) == 64
+        np.testing.assert_array_equal(
+            np.array(specfun._WEIDEMAN_COEFFS).view(np.uint64),
+            coeffs.view(np.uint64))
+
     @pytest.mark.parametrize("z", [
         np.geomspace(1e-8, 1e4, 300_000),
         np.random.default_rng(17).uniform(0.0, 40.0, 100_000)
@@ -164,7 +186,7 @@ class TestErfc:
         # the Faddeeva formula with numpy's own polynomial evaluator: the
         # Horner loop must reproduce it exactly, on the real line and off
         from numpy.polynomial.polynomial import polyval
-        ell, coeffs = specfun._weideman_coeffs()
+        ell, coeffs = weideman_fft()
         # erfcx(z) = w(iz), and w's formula takes i times its argument
         iz = 1j * (1j * z)
         ref = (2.0 * polyval((ell + iz) / (ell - iz), coeffs[::-1])
