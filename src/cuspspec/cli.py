@@ -35,7 +35,8 @@ EXIT_IO = 4
 EXIT_CODES = {PreconditionError: EXIT_PRECONDITION,
               NumericsError: EXIT_NUMERIC,
               OSError: EXIT_IO,
-              json.JSONDecodeError: EXIT_IO}
+              json.JSONDecodeError: EXIT_IO,
+              UnicodeDecodeError: EXIT_IO}
 # pinch-sweep rows a --ell-num may ask for; a row holds about 0.7 KB
 # while the sweep runs, so 1e5 rows take about 100 MB
 MAX_ELL_NUM = 100_000

@@ -8,7 +8,7 @@ column of the relative heat trace (trace_terms.cut_height_term).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ __all__ = ["CuspFamily", "cusp_heat_kernel"]
 class CuspFamily:
     """One finite Dirichlet cut height a_j >= 1 per cusp."""
 
-    starts: tuple = field(default_factory=tuple)
+    starts: tuple
 
     def __post_init__(self):
         starts = tuple(float(a) for a in self.starts)

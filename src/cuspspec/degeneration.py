@@ -102,6 +102,8 @@ def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha):
     for i in indices:
         if not 0 <= i < len(base.entries):
             raise DomainError("pinch index %d out of range" % i)
+    if len(set(indices)) < len(indices):
+        raise DomainError("pinch indices must be distinct")
     num_pinched = sum(base.entries[i].mult for i in indices)
     mc = zeta_engine.xi_prime0(base.surface.cusps)
     rows = []

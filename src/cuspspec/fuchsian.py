@@ -69,20 +69,8 @@ class Mobius:
         if abs(ad - bc - 1.0) > 1e-12 * (abs(ad) + abs(bc)):
             raise DomainError("Mobius determinant %r != 1" % (ad - bc))
 
-    def __matmul__(self, other):
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def inv(self):
         return Mobius(self.d, -self.b, -self.c, self.a)
-
-    @property
-    def trace(self):
-        return self.a + self.d
 
 
 @dataclass(frozen=True)

@@ -143,9 +143,9 @@ def integrate(f, a, b, spec=None):
 
     a must be finite and a <= b; b may be +inf, which goes through a
     double-exponential substitution.  Returns a
-    :class:`QuadratureResult`; raises :class:`QuadratureError`
-    (carrying the best estimate) if the tolerance cannot be met within
-    the subdivision budget.
+    :class:`QuadratureResult`; raises :class:`QuadratureError` (its
+    message gives the error estimate reached, no value) if the tolerance
+    cannot be met within the subdivision budget.
     """
     if spec is None:
         spec = QuadratureSpec()

@@ -11,7 +11,7 @@ scattering integral and its closed-form resonance sum
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ __all__ = [
     "parabolic_p", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
     "cut_height_term", "heat_trace_columns", "relative_heat_trace",
-    "cusp_term_expansion", "model_from_json",
+    "model_from_json",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -64,8 +64,8 @@ class ScatteringModel:
     sign phi(1/2) = +-1 drops out of phi'/phi and is not stored.
     """
 
-    resonances: tuple = field(default_factory=tuple)
-    q: float = 1.0
+    resonances: tuple
+    q: float
 
     def __post_init__(self):
         res = tuple((complex(r), int(n)) for r, n in self.resonances)
@@ -368,19 +368,6 @@ def heat_trace_columns(spectrum, cusp_starts, t):
 def relative_heat_trace(spectrum, cusp_starts, t):
     """theta(t), the sum of :func:`heat_trace_columns`."""
     return sum(heat_trace_columns(spectrum, cusp_starts, t))
-
-
-def _gaussian_expansion(x):
-    """x e^{-t/4}/sqrt(4 pi t) through O(sqrt(t)) as (alpha, k, c) terms."""
-    return ((-0.5, 0, x / (2.0 * _SQRT_PI)), (0.5, 0, -x / (8.0 * _SQRT_PI)))
-
-
-def cusp_term_expansion():
-    """Small-t expansion of :func:`cusp_term` as (alpha, k, c) terms: the
-    half-integer powers of -P_EXPANSION/pi, then the log 2 Gaussian; the
-    integer ones cancel e^{-t/4}/2 = 1/2 - t/8 + ... exactly."""
-    return (tuple((a, k, -c / math.pi) for a, k, c in P_EXPANSION if a % 1.0)
-            + _gaussian_expansion(-math.log(2.0)))
 
 
 # ----------------------------------------------------------------------

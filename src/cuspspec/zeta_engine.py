@@ -11,7 +11,8 @@ of (theta - h)/t enters directly, and the tail beyond t_max is estimated
 from a fitted exponential C e^{-mu t}.
 
 All Gamma-factor bookkeeping is done symbolically before any numerics;
-only the expansion remainder and the mid-range integral are quadratures.
+only the expansion remainder, the mid-range integral and the tail's E1
+integral int_{t_max}^inf e^{-mu t}/t dt are quadratures.
 """
 
 import math
@@ -212,13 +213,13 @@ def _integral_from_one(f):
 
 def max_t_for_cutoff(cutoff, eps_trunc):
     """Largest trusted t for a spectrum truncated at the given length;
-    the truncation tolerance must lie in (0, 1)."""
-    if not 0.0 < eps_trunc < 1.0:
-        raise DomainError("eps_trunc must lie in (0, 1)")
+    eps_trunc must be a normal double below 1, or 1/eps_trunc overflows."""
+    if not sys.float_info.min <= eps_trunc < 1.0:
+        raise DomainError("eps_trunc must be a normal double in (0, 1)")
     return cutoff * cutoff / (4.0 * math.log(1.0 / eps_trunc))
 
 
-def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc=0.02):
+def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc):
     """Relative determinant of the Laplacian of the spectrum's surface
     against the reference cusp model, through the Mellin engine.
 

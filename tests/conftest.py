@@ -88,9 +88,27 @@ def arithmetic_spectrum(name, max_length):
     return classes
 
 
+_EULER_GAMMA = 0.5772156649015329
+_LOG2 = math.log(2.0)
+_SQRT_PI = math.sqrt(math.pi)
+# small-t expansion of trace_terms.cusp_term, -P(t)/pi - log(2)
+# e^{-t/4}/sqrt(4 pi t) + e^{-t/4}/2, as (alpha, k, c) terms c t^alpha
+# (log t)^k through O(sqrt(t)), gamma Euler's constant: the half-integer
+# powers of -P(t)/pi, then the log 2 Gaussian; P's integer powers cancel
+# e^{-t/4}/2.  Written out here, not derived from trace_terms.P_EXPANSION,
+# so criterion 9 stays independent of the constants it guards
+CUSP_TERM_LADDER = (
+    (-0.5, 1, 1.0 / (2.0 * _SQRT_PI)),
+    (-0.5, 0, (_EULER_GAMMA + 2.0 * _LOG2) / (2.0 * _SQRT_PI)),
+    (0.5, 1, -1.0 / (8.0 * _SQRT_PI)),
+    (0.5, 0, -(_EULER_GAMMA + 2.0 * _LOG2 - 4.0 / 3.0) / (8.0 * _SQRT_PI)),
+    (-0.5, 0, -_LOG2 / (2.0 * _SQRT_PI)),
+    (0.5, 0, _LOG2 / (8.0 * _SQRT_PI)),
+)
+
+
 def engine_cusp_constant():
     """The per-cusp constant as the Mellin engine computes it from
-    cusp_term and its small-t expansion (a ZetaResult)."""
+    cusp_term and CUSP_TERM_LADDER (a ZetaResult)."""
     return mellin_zeta_prime0(
-        trace_terms.cusp_term, trace_terms.cusp_term_expansion(), 0.0,
-        t_max=60.0)
+        trace_terms.cusp_term, CUSP_TERM_LADDER, 0.0, t_max=60.0)

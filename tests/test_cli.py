@@ -38,6 +38,8 @@ INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                "{config-null-t-max}": json.dumps({"t_max": None}),
                "{config-list-max-length}": json.dumps({"max_length": [1, 2]}),
                "{config-misspelt-key}": json.dumps({"eps_trunk": 0.5}),
+               "{config-repeated-pinch-index}": json.dumps(
+                   {"pinch_index": [0, 0]}),
                "{model-far-resonance}": json.dumps(
                    {"q": 2.0, "resonances": [
                        {"re": -1e160, "im": im, "order": 1}
@@ -306,6 +308,15 @@ class TestConfigAndEnvironment:
         out = run_cli("--config", "/nonexistent/cfg.json", "selfcheck")
         assert out.returncode == 4
 
+    def test_non_utf8_config_is_io_error(self, tmp_path):
+        # JSON text is UTF-8: a file that does not decode is not JSON
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xff\xfe{"t_max": 1}')
+        out = run_cli("--config", str(cfg), "selfcheck")
+        assert out.returncode == 4
+        assert json.loads(out.stderr)["error"] == "UnicodeDecodeError"
+        assert out.stdout == ""
+
 
 class TestErrorChannel:
     def test_unknown_group(self):
@@ -418,6 +429,14 @@ class TestErrorChannel:
          "--cutoff", "6", "--ell-grid", "1e300"],
         ["pinch-sweep", "--group", "thrice-punctured-sphere",
          "--cutoff", "6", "--ell-start", "1e200"],
+        # a geodesic pinched twice, and a subnormal truncation tolerance,
+        # whose 1/eps_trunc overflows
+        ["pinch-sweep", "--group", "thrice-punctured-sphere",
+         "--cutoff", "6", "--pinch-index", "0", "--pinch-index", "0"],
+        ["--config", "{config-repeated-pinch-index}", "pinch-sweep",
+         "--group", "thrice-punctured-sphere", "--cutoff", "6"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "12",
+         "--t-max", "8", "--eps-trunc", "1e-320"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]

@@ -113,6 +113,14 @@ class TestPinchSweep:
         exact = spec.entries[0].mult * 2.0 * math.log(1.34e154)
         assert abs(row.small_eig_logsum / exact - 1.0) < 1e-15
 
+    def test_repeated_index_refused(self):
+        # a geodesic pinched twice would count its Wolpert term and its
+        # small eigenvalues twice
+        spec = self._base()
+        for indices in ([0, 0], [1, 0, 1]):
+            with pytest.raises(DomainError, match="distinct"):
+                pinch_sweep(spec, indices, [0.1], 0.0)
+
     def test_row_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             PinchSweepRow(0.1, math.inf, 0.0, 0.0, 0.0, 0.0)

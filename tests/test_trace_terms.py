@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import CUSP_TERM_LADDER
 from cuspspec import trace_terms
 from cuspspec.cusp_model import CuspFamily
 from cuspspec.errors import DomainError, PoleError
@@ -17,7 +18,6 @@ from cuspspec.trace_terms import (
     P_EXPANSION,
     ScatteringModel,
     cusp_term,
-    cusp_term_expansion,
     cut_height_term,
     expansion_value,
     hyperbolic_trace,
@@ -272,10 +272,9 @@ class TestParabolicP:
         damp = {0.0: 0.5, 1.0: -0.125}
         assert [-c / math.pi + damp[a] for a, k, c in P_EXPANSION
                 if a in damp] == [0.0, 0.0]
-        terms = cusp_term_expansion()
-        assert all(a % 1.0 for a, k, c in terms)
+        assert all(a % 1.0 for a, k, c in CUSP_TERM_LADDER)
         for t in (1e-6, 1e-3, 1e-2):
-            gap = abs(cusp_term(t) - expansion_value(terms, t))
+            gap = abs(cusp_term(t) - expansion_value(CUSP_TERM_LADDER, t))
             assert gap <= 0.02 * t ** 1.5 * abs(math.log(t))
 
     def test_ladder_and_series_meet(self):

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import engine_cusp_constant
+from conftest import CUSP_TERM_LADDER, engine_cusp_constant
 from cuspspec import zeta_engine
 from cuspspec.cusp_model import CuspFamily
 from cuspspec.errors import (
@@ -19,7 +20,6 @@ from cuspspec.errors import (
 from cuspspec.fuchsian import builtin_group, enumerate_length_spectrum
 from cuspspec.trace_terms import (
     cusp_term,
-    cusp_term_expansion,
     cut_height_term,
     expansion_value,
     identity_term,
@@ -309,7 +309,7 @@ class TestRelativeDeterminant:
         terms = (_identity_terms(g.surface.area)
                  + tuple((a, k, fam.log_sum * c) for a, k, c in GAUSSIAN_TERMS)
                  + tuple((a, k, g.surface.cusps * c)
-                         for a, k, c in cusp_term_expansion()))
+                         for a, k, c in CUSP_TERM_LADDER))
 
         def theta(t):
             out = expansion_value(terms, t)
@@ -319,7 +319,7 @@ class TestRelativeDeterminant:
             return out
 
         ref = mellin_zeta_prime0(theta, terms, 1.0, t_max)
-        res = relative_determinant(spec, fam, t_max).zeta
+        res = relative_determinant(spec, fam, t_max, 0.02).zeta
         assert res.small_t_error <= 1e-9
         assert abs(res.zeta_prime_zero - ref.zeta_prime_zero) <= 1e-9
 
@@ -327,12 +327,21 @@ class TestRelativeDeterminant:
         assert abs(max_t_for_cutoff(12.0, 1e-4)
                    - 144.0 / (4.0 * math.log(1e4))) < 1e-12
 
+    def test_subnormal_tolerance_refused(self):
+        # below the least normal double 1/eps_trunc overflows, and the
+        # trusted window would read 0 with a required cutoff of inf
+        for eps in (sys.float_info.min / 2.0, 1e-320, 5e-324):
+            with pytest.raises(DomainError, match="normal double"):
+                max_t_for_cutoff(12.0, eps)
+        least = max_t_for_cutoff(12.0, sys.float_info.min)
+        assert least == 144.0 / (4.0 * math.log(1.0 / sys.float_info.min))
+
     def test_truncation_refused_with_required_cutoff(self):
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 6.0, 6)
         fam = CuspFamily((1.0, 1.0, 1.0))
         with pytest.raises(TruncationError) as info:
-            relative_determinant(spec, fam, 50.0)
+            relative_determinant(spec, fam, 50.0, 0.02)
         assert info.value.required_cutoff > spec.cutoff
 
     def test_cut_height_shift_of_zeta_prime(self):
@@ -342,9 +351,9 @@ class TestRelativeDeterminant:
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 10.0, 10)
         r1 = relative_determinant(spec,
-                                  CuspFamily((1.0, 1.0, 1.0)), 5.0)
+                                  CuspFamily((1.0, 1.0, 1.0)), 5.0, 0.02)
         r2 = relative_determinant(spec,
-                                  CuspFamily((math.e,) * 3), 5.0)
+                                  CuspFamily((math.e,) * 3), 5.0, 0.02)
         shift = r2.zeta.zeta_prime_zero - r1.zeta.zeta_prime_zero
         budget = (r1.zeta.small_t_error + r1.zeta.large_t_error
                   + r2.zeta.small_t_error + r2.zeta.large_t_error)
@@ -354,7 +363,7 @@ class TestRelativeDeterminant:
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 10.0, 10)
         fam = CuspFamily((1.0, 1.0, 1.0))
-        res = relative_determinant(spec, fam, 5.0)
+        res = relative_determinant(spec, fam, 5.0, 0.02)
         a_tilde = math.exp(-xi_prime0(g.surface.cusps))
         assert abs(res.zeta.determinant
                    - a_tilde * res.det_hyp) < 1e-12 * res.zeta.determinant
@@ -363,6 +372,6 @@ class TestRelativeDeterminant:
         g = builtin_group("thrice-punctured-sphere")
         spec = enumerate_length_spectrum(g, 10.0, 10)
         fam = CuspFamily((1.0, 1.0, 1.0))
-        a = relative_determinant(spec, fam, 5.0)
-        b = relative_determinant(spec, fam, 5.0)
+        a = relative_determinant(spec, fam, 5.0, 0.02)
+        b = relative_determinant(spec, fam, 5.0, 0.02)
         assert a.zeta == b.zeta and a.det_hyp == b.det_hyp

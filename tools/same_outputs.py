@@ -5,7 +5,7 @@ Usage: python tools/same_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are directories that hold a `cuspspec` package (the
 `src/` of two checkouts).  Each argv of ARGVS runs as a fresh
 `python -m cuspspec.cli` process on each tree, in one scratch directory
-that also holds the scatter-check model file.  Every argv whose stdout,
+that also holds the scatter-check model file and a --config file.  Every argv whose stdout,
 stderr or exit code differs is printed; the exit code is 1 if any does.
 """
 
@@ -19,6 +19,7 @@ SPHERE = ["--group", "thrice-punctured-sphere"]
 MODEL = {"q": 2.0, "phi_half": 1.0,
          "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
                         {"re": -0.3, "im": -1.0, "order": 1}]}
+CONFIG = {"t_max": 10.0, "eps_trunc": 0.1}
 ARGVS = [
     *(["det", "--group", group, "--cutoff", "12", "--t-max", "8"]
       for group in ("thrice-punctured-sphere", "once-punctured-torus(3.47)",
@@ -60,6 +61,11 @@ ARGVS = [
      "--t-max", "8"],
     ["det", "--group", "once-punctured-torus(3.47)", "--cutoff", "12",
      "--t-max", "8", "--cusp-starts", "2.5"],
+    # two pinched geodesics, and det's t-max and eps-trunc from --config
+    # (at the default eps-trunc of 0.02, t-max 10 is refused)
+    ["pinch-sweep", *SPHERE, "--cutoff", "6", "--pinch-index", "0",
+     "--pinch-index", "1"],
+    ["--config", "config.json", "det", *SPHERE, "--cutoff", "12"],
 ]
 
 
@@ -76,8 +82,9 @@ def main():
     old, new = sys.argv[1:]
     differ = 0
     with tempfile.TemporaryDirectory() as cwd:
-        with open(os.path.join(cwd, "model.json"), "w") as fh:
-            json.dump(MODEL, fh)
+        for name, obj in (("model.json", MODEL), ("config.json", CONFIG)):
+            with open(os.path.join(cwd, name), "w") as fh:
+                json.dump(obj, fh)
         for args in ARGVS:
             if run(old, args, cwd) != run(new, args, cwd):
                 differ += 1
