@@ -37,8 +37,8 @@ EXIT_CODES = {PreconditionError: EXIT_PRECONDITION,
               OSError: EXIT_IO,
               json.JSONDecodeError: EXIT_IO,
               UnicodeDecodeError: EXIT_IO}
-# pinch-sweep rows a --ell-num may ask for; a row holds about 0.7 KB
-# while the sweep runs, so 1e5 rows take about 100 MB
+# the most pinch-sweep rows (--ell-num) and list items a command takes;
+# a row holds about 0.7 KB while the sweep runs, so 1e5 take about 100 MB
 MAX_ELL_NUM = 100_000
 
 # The interpreter's exit collections would walk every object that the
@@ -97,7 +97,9 @@ def _parse_float(item):
 
 
 def _parse_floats(text):
-    """Comma-separated numbers; a list with no item is refused."""
+    """Comma-separated numbers; an empty or over-long list is refused."""
+    if text.count(",") >= MAX_ELL_NUM:
+        raise DomainError("a list holds at most %d numbers" % MAX_ELL_NUM)
     values = [_parse_float(x) for x in text.split(",") if x.strip()]
     if not values:
         raise DomainError("empty list: %r" % text)
@@ -294,27 +296,10 @@ class _Append(argparse.Action):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as a DomainError, so it reaches
-    the one JSON error channel; subparsers are built from this class.
-    An option that `config` names by one of its _config_keys takes its
-    default from there (a list of values for a repeatable option)."""
-
-    config = {}
+    the one JSON error channel; subparsers are built from this class."""
 
     def error(self, message):
         raise DomainError("%s: %s" % (self.prog, message))
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        keys = [k for k in _config_keys(action) if k in self.config]
-        if keys:
-            value = self.config[keys[0]]
-            if kwargs.get("action") is not _Append:
-                action.default = _config_value(action, value)
-            else:
-                action.default = [_config_value(action, v) for v in (
-                    value if isinstance(value, list) else [value])]
-            action.required = False
-        return action
 
 
 def _config_keys(action):
@@ -350,7 +335,6 @@ def build_parser(config=None):
         """A subcommand; one with a length_flag (the spectrum cutoff)
         also takes the group and the word radius."""
         sp = sub.add_parser(name)
-        sp.config = config or {}
         sp.set_defaults(func=fn)
         if length_flag:
             sp.add_argument("--group", required=True,
@@ -390,9 +374,23 @@ def build_parser(config=None):
     sp.add_argument("--out", default=None)
 
     add("selfcheck", cmd_selfcheck)
+    # an option that config names by one of its _config_keys takes its
+    # default from there (a list of values for a repeatable option)
+    config = config or {}
+    for action in (a for sp in sub.choices.values() for a in sp._actions
+                   if a.default is not argparse.SUPPRESS):
+        keys = [k for k in _config_keys(action) if k in config]
+        if keys:
+            value = config[keys[0]]
+            if isinstance(action, _Append):
+                action.default = [_config_value(action, v) for v in (
+                    value if isinstance(value, list) else [value])]
+            else:
+                action.default = _config_value(action, value)
+            action.required = False
     known = {k for sp in sub.choices.values() for a in sp._actions
              if a.default is not argparse.SUPPRESS for k in _config_keys(a)}
-    for key in config or {}:
+    for key in config:
         if key not in known:
             raise DomainError("--config key %r is not an option of any "
                               "subcommand" % key)

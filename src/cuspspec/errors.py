@@ -47,20 +47,10 @@ class ExpansionMismatchError(NumericsError):
 
 
 class TailFitError(NumericsError):
-    """Large-t exponential tail fit failed or decayed too slowly."""
-
-    def __init__(self, message, fitted_mu=None):
-        super().__init__(message)
-        self.fitted_mu = fitted_mu
+    """Large-t exponential tail fit failed or decayed too slowly; the
+    message gives the fitted decay rate mu."""
 
 
 class TruncationError(PreconditionError):
-    """Spectrum cutoff too small for the requested Mellin window.
-
-    ``required_cutoff`` is the smallest cutoff that would make the
-    requested t_max admissible.
-    """
-
-    def __init__(self, message, required_cutoff=None):
-        super().__init__(message)
-        self.required_cutoff = required_cutoff
+    """Spectrum cutoff too small for the requested Mellin window; the
+    message gives the smallest cutoff that would admit the t_max."""

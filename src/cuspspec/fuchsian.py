@@ -124,14 +124,17 @@ class LengthSpectrum:
     word_radius: int = None
 
     def __post_init__(self):
+        if not math.isfinite(self.cutoff):
+            raise DomainError("spectrum cutoff must be finite")
         prev = -math.inf
         for e in self.entries:
-            if e.length <= 0.0:
-                raise DomainError("spectrum lengths must be positive")
+            if not (math.isfinite(e.length) and e.length > 0.0):
+                raise DomainError("spectrum lengths must be finite and "
+                                  "positive")
             if e.length < prev:
                 raise DomainError("spectrum entries must be sorted")
-            if e.mult < 1:
-                raise DomainError("multiplicities must be >= 1")
+            if not (float(e.mult).is_integer() and e.mult >= 1):
+                raise DomainError("multiplicities must be integers >= 1")
             if e.length > self.cutoff + 1e-12:
                 raise DomainError("entry length exceeds cutoff")
             if e.length - prev <= MERGE_TOL:

@@ -68,6 +68,8 @@ class ScatteringModel:
     q: float
 
     def __post_init__(self):
+        if any(n != int(n) for _, n in self.resonances):
+            raise DomainError("resonance orders must be integers")
         res = tuple((complex(r), int(n)) for r, n in self.resonances)
         object.__setattr__(self, "resonances", res)
         if not (math.isfinite(self.q) and self.q > 0.0):
@@ -137,6 +139,9 @@ _FERMI_EDGES = (0.0, 0.04, 0.08, 0.13, 0.2, 0.3, 0.45, 0.65, 0.9, 1.2,
 _FERMI_LAM, _FERMI_W = specfun.kronrod_grid(_FERMI_EDGES)
 _FERMI_W = _FERMI_W * _FERMI_LAM / (np.exp(2.0 * math.pi * _FERMI_LAM) + 1.0)
 _FERMI_LAM2 = _FERMI_LAM * _FERMI_LAM
+# t rows per (t, lam) product in identity_term, which bounds its buffer;
+# 64 or 4096 rows give one product's bits, 1, 3, 7 or 333 do not
+_FERMI_ROWS = 4096
 
 
 def identity_term(area, t):
@@ -150,7 +155,9 @@ def identity_term(area, t):
     if not (math.isfinite(area) and area > 0.0):
         raise DomainError("identity_term requires finite area > 0")
     t, shape = _t_array(t, "identity_term")
-    fermi = np.exp(-np.multiply.outer(t, _FERMI_LAM2)) @ _FERMI_W
+    fermi = np.concatenate([
+        np.exp(-np.multiply.outer(t[i:i + _FERMI_ROWS], _FERMI_LAM2))
+        @ _FERMI_W for i in range(0, t.size, _FERMI_ROWS)])
     out = area / (4.0 * math.pi) * np.exp(-t / 4.0) * (1.0 / t - 4.0 * fermi)
     return _shaped(out, shape)
 
@@ -375,17 +382,15 @@ def relative_heat_trace(spectrum, cusp_starts, t):
 # ----------------------------------------------------------------------
 
 def model_from_json(obj):
-    """ScatteringModel from a parsed --model file; a missing key, a
-    non-numeric field or a fractional order raises DomainError.  Keys
-    other than q and resonances are ignored."""
+    """ScatteringModel from a parsed --model file; a missing key or a
+    non-numeric field raises DomainError, as the model's own checks do.
+    Keys other than q and resonances are ignored."""
     try:
-        res = []
-        for r in obj["resonances"]:
-            if r["order"] != int(r["order"]):
-                raise ValueError("fractional order %r" % r["order"])
-            res.append((complex(r["re"], r["im"]), int(r["order"])))
-        q = float(obj["q"])
+        return ScatteringModel(
+            resonances=[(complex(r["re"], r["im"]), r["order"])
+                        for r in obj["resonances"]], q=float(obj["q"]))
+    except DomainError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError("malformed scattering model: %s: %s"
                           % (type(exc).__name__, exc)) from None
-    return ScatteringModel(resonances=res, q=q)

@@ -40,6 +40,14 @@ INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                "{config-misspelt-key}": json.dumps({"eps_trunk": 0.5}),
                "{config-repeated-pinch-index}": json.dumps(
                    {"pinch_index": [0, 0]}),
+               # lists one item past the bound, too long for one argv
+               # string (128 KB)
+               "{config-long-t}": json.dumps(
+                   {"t": ",".join(["1"] * (cli.MAX_ELL_NUM + 1))}),
+               "{config-long-ell-grid}": json.dumps({"ell_grid": ",".join(
+                   "%.6f" % (k * 1e-6)
+                   for k in range(cli.MAX_ELL_NUM + 1, 0, -1))}),
+               "{config-help}": json.dumps({"help": True}),
                "{model-far-resonance}": json.dumps(
                    {"q": 2.0, "resonances": [
                        {"re": -1e160, "im": im, "order": 1}
@@ -304,6 +312,15 @@ class TestConfigAndEnvironment:
         assert ref.returncode == 0
         assert all(o.returncode == 0 and o.stdout == ref.stdout for o in outs)
 
+    def test_config_value_read_through_option_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_max": None}))
+        out = run_cli("--config", str(cfg), "det", "--group",
+                      "thrice-punctured-sphere", "--cutoff", "6")
+        assert out.returncode == 2
+        assert json.loads(out.stderr)["message"] == (
+            "--config value for t_max: invalid float value 'null'")
+
     def test_missing_config_is_io_error(self):
         out = run_cli("--config", "/nonexistent/cfg.json", "selfcheck")
         assert out.returncode == 4
@@ -437,6 +454,12 @@ class TestErrorChannel:
          "--group", "thrice-punctured-sphere", "--cutoff", "6"],
         ["det", "--group", "thrice-punctured-sphere", "--cutoff", "12",
          "--t-max", "8", "--eps-trunc", "1e-320"],
+        ["--config", "{config-long-t}", "trace", "--group",
+         "thrice-punctured-sphere", "--max-length", "6"],
+        ["--config", "{config-long-ell-grid}", "pinch-sweep", "--group",
+         "thrice-punctured-sphere", "--cutoff", "6"],
+        # -h takes no default, so "help" names no option
+        ["--config", "{config-help}", "selfcheck"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]

@@ -400,6 +400,27 @@ class TestSpectrumValidation:
         with pytest.raises(DomainError):
             LengthSpectrum((SpectrumEntry(6.0, 1),), 5.0, s)
 
+    @pytest.mark.parametrize("entry,cutoff", [
+        # a NaN length would drop out of the geodesic sum (its k-range is
+        # cast to int64), leaving the empty spectrum's determinant, and a
+        # NaN cutoff would pass the check of the trusted Mellin window
+        (SpectrumEntry(math.nan, 1), 12.0),
+        (SpectrumEntry(math.inf, 1), 12.0),
+        (SpectrumEntry(2.0, math.nan), 12.0),
+        (SpectrumEntry(2.0, 1.5), 12.0),
+        (SpectrumEntry(2.0, math.inf), 12.0),
+        (SpectrumEntry(2.0, 1), math.nan),
+        (SpectrumEntry(2.0, 1), math.inf),
+    ])
+    def test_non_finite_or_fractional_refused(self, entry, cutoff):
+        with pytest.raises(DomainError):
+            LengthSpectrum((entry,), cutoff, SurfaceData(genus=0, cusps=3), 6)
+
+    def test_integral_float_multiplicity_accepted(self):
+        spec = LengthSpectrum((SpectrumEntry(2.0, 2.0),), 12.0,
+                              SurfaceData(genus=0, cusps=3), 6)
+        assert spec.length_arrays[1].tolist() == [2.0]
+
 
 class TestSerialization:
     def test_json_round_trip(self):

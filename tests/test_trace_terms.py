@@ -71,6 +71,17 @@ class TestScatteringModel:
         with pytest.raises(DomainError):
             ScatteringModel(((complex(0.6, 0.0), 1),), 1.0)
 
+    @pytest.mark.parametrize("order", [2.5, 0.5, -1.5])
+    def test_fractional_order_refused(self, order):
+        # not truncated: int() would read 2.5 as 2, and 0.5 as 0
+        with pytest.raises(DomainError, match="must be integers"):
+            ScatteringModel(((complex(-0.3, 1.0), order),
+                             (complex(-0.3, -1.0), order)), 2.0)
+
+    def test_integral_float_order_accepted(self):
+        m = ScatteringModel(((complex(-0.3, 0.0), 2.0),), 1.0)
+        assert m.resonances == ((complex(-0.3, 0.0), 2),)
+
     def test_json_round_trip(self):
         m = ScatteringModel(((complex(-0.3, 1.0), 1),
                              (complex(-0.3, -1.0), 1)), 2.0)
@@ -93,6 +104,7 @@ class TestScatteringModel:
         {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
          "resonances": [{"re": -0.3, "im": 0.0, "order": math.inf}]},
         [2.0],
+        {"q": 2.0, "resonances": [{"re": -0.3, "im": 0.0, "order": "x"}]},
     ])
     def test_malformed_json_refused(self, obj):
         with pytest.raises(DomainError):
@@ -189,6 +201,17 @@ class TestIdentityTerm:
                 lambda lam: mp.exp(-tm * (mp.mpf(1) / 4 + lam * lam))
                 * lam * mp.tanh(mp.pi * lam), points)
         assert abs(identity_term(area, t) - ref) <= 1e-13 * abs(ref)
+
+    def test_chunked_contraction_bit_for_bit(self):
+        # identity_term contracts t against the Fermi grid a block of
+        # rows at a time; on 10 000 t values (three blocks, the last one
+        # partial) it must give the single product's bits
+        t = np.geomspace(1e-6, 3000.0, 10_000)
+        assert t.size > 2 * trace_terms._FERMI_ROWS
+        fermi = (np.exp(-np.multiply.outer(t, trace_terms._FERMI_LAM2))
+                 @ trace_terms._FERMI_W)
+        ref = 0.5 * np.exp(-t / 4.0) * (1.0 / t - 4.0 * fermi)
+        assert np.array_equal(identity_term(2.0 * math.pi, t), ref)
 
     def test_validation(self):
         with pytest.raises(DomainError):

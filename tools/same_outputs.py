@@ -66,6 +66,11 @@ ARGVS = [
     ["pinch-sweep", *SPHERE, "--cutoff", "6", "--pinch-index", "0",
      "--pinch-index", "1"],
     ["--config", "config.json", "det", *SPHERE, "--cutoff", "12"],
+    # a t-max past the trusted window (exit 2, with the required cutoff),
+    # and det's --config keys accepted and unused by another command
+    ["det", *SPHERE, "--cutoff", "6", "--t-max", "50"],
+    ["--config", "config.json", "pinch-sweep", *SPHERE, "--cutoff", "6",
+     "--ell-num", "3"],
 ]
 
 
