@@ -12,6 +12,7 @@ import argparse
 import atexit
 import dataclasses
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -23,9 +24,41 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from . import cusp_model, degeneration, dtn_cusp, fuchsian, specfun
-from . import trace_terms, zeta_engine
 from .errors import DomainError, NumericsError, PreconditionError
+
+
+def _layer(name):
+    """The layer module cuspspec.<name>, in sys.modules under that name
+    (the benchmark shim reads it there) but compiled and run only on its
+    first attribute access; a module already imported is reused."""
+    full = "%s.%s" % (__package__, name)
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# the layers in package order: each imports only layers before it
+LAYERS = ("specfun", "cusp_model", "dtn_cusp", "fuchsian", "trace_terms",
+          "zeta_engine", "degeneration")
+(specfun, cusp_model, dtn_cusp, fuchsian, trace_terms, zeta_engine,
+ degeneration) = map(_layer, LAYERS)
+# every layer each subcommand runs, even one that another layer binds but
+# reaches only inside the command; main() runs them before anything else
+COMMAND_LAYERS = {
+    "spectrum": {"fuchsian"},
+    "trace": {"specfun", "cusp_model", "fuchsian", "trace_terms"},
+    "det": {"specfun", "cusp_model", "fuchsian", "trace_terms",
+            "zeta_engine"},
+    "scatter-check": {"specfun", "trace_terms"},
+    "pinch-sweep": {"specfun", "fuchsian", "zeta_engine", "degeneration"},
+    "selfcheck": {"specfun", "cusp_model", "dtn_cusp", "trace_terms",
+                  "zeta_engine", "degeneration"},
+}
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -165,6 +198,10 @@ def cmd_trace(args):
 
 
 def cmd_det(args):
+    # an untrusted t-max is refused before the walk; a cutoff that is not
+    # positive is left to the walk, which names it as the fault
+    if args.max_length > 0:
+        zeta_engine.check_t_max(args.max_length, args.t_max, args.eps_trunc)
     spec, _ = _spectrum_args(args)
     res = zeta_engine.relative_determinant(
         spec, _cusp_family(args, spec), args.t_max,
@@ -425,6 +462,15 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         config, argv = _read_config(argv)
+        # the command's layers run first (vars() is a first attribute
+        # access), in package order, as the import ran them all: compiled
+        # after the parser or during the command, they raise its peak
+        # resident set.  argv[0] names the command unless argv is refused
+        # below, and a layer left out still runs on first use.
+        layers = COMMAND_LAYERS.get(argv[0] if argv else None, ())
+        for name in LAYERS:
+            if name in layers:
+                vars(sys.modules["%s.%s" % (__package__, name)])
         args = build_parser(config).parse_args(argv)
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -22,6 +22,7 @@ output records the word radius so callers can reason about truncation.
 
 import functools
 import math
+import numbers
 import re
 import sys
 from array import array
@@ -133,7 +134,8 @@ class LengthSpectrum:
                                   "positive")
             if e.length < prev:
                 raise DomainError("spectrum entries must be sorted")
-            if not (float(e.mult).is_integer() and e.mult >= 1):
+            if not (isinstance(e.mult, numbers.Real)
+                    and float(e.mult).is_integer() and e.mult >= 1):
                 raise DomainError("multiplicities must be integers >= 1")
             if e.length > self.cutoff + 1e-12:
                 raise DomainError("entry length exceeds cutoff")

@@ -11,6 +11,7 @@ scattering integral and its closed-form resonance sum
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,8 @@ class ScatteringModel:
     q: float
 
     def __post_init__(self):
-        if any(n != int(n) for _, n in self.resonances):
+        if not all(isinstance(n, numbers.Real) and float(n).is_integer()
+                   for _, n in self.resonances):
             raise DomainError("resonance orders must be integers")
         res = tuple((complex(r), int(n)) for r, n in self.resonances)
         object.__setattr__(self, "resonances", res)

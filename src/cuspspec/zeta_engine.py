@@ -221,6 +221,18 @@ def max_t_for_cutoff(cutoff, eps_trunc):
     return cutoff * cutoff / (4.0 * math.log(1.0 / eps_trunc))
 
 
+def check_t_max(cutoff, t_max, eps_trunc):
+    """Refuse a t_max past max_t_for_cutoff with the cutoff it needs;
+    the spectrum is not needed, so a caller can check before the walk."""
+    bound = max_t_for_cutoff(cutoff, eps_trunc)
+    if t_max > bound:
+        need = math.sqrt(4.0 * t_max * math.log(1.0 / eps_trunc))
+        raise TruncationError(
+            "t_max=%.3g exceeds the trusted window %.3g for cutoff %.3g; "
+            "a cutoff of at least %.3g is required"
+            % (t_max, bound, cutoff, need))
+
+
 def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc):
     """Relative determinant of the Laplacian of the spectrum's surface
     against the reference cusp model, through the Mellin engine.
@@ -235,13 +247,7 @@ def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc):
     geodesics would contribute more than eps_trunc through the Gaussian
     factor, and the call is refused with the required cutoff.
     """
-    bound = max_t_for_cutoff(spectrum.cutoff, eps_trunc)
-    if t_max > bound:
-        need = math.sqrt(4.0 * t_max * math.log(1.0 / eps_trunc))
-        raise TruncationError(
-            "t_max=%.3g exceeds the trusted window %.3g for cutoff %.3g; "
-            "a cutoff of at least %.3g is required"
-            % (t_max, bound, spectrum.cutoff, need))
+    check_t_max(spectrum.cutoff, t_max, eps_trunc)
 
     def theta(t):
         out = np.empty_like(t)

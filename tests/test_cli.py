@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -75,6 +76,30 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         rc = exc.code
 print(json.dumps([rc, sorted(set(sys.modules) - base)]))
+"""
+
+
+# run one command in process; print its exit code, the cuspspec modules
+# whose source has run by its end and those run when the walk starts (a
+# lazily loaded module keeps the loader's class until its source runs)
+RUN_PROBE = """
+import contextlib, io, json, sys, types
+from cuspspec import cli
+def run():
+    return sorted(n for n, m in sys.modules.items()
+                  if n.startswith("cuspspec.") and type(m) is types.ModuleType)
+at_walk = []
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "enumerate_length_spectrum":
+        at_walk.append(run())
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        rc = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+sys.setprofile(None)
+print(json.dumps([rc, run(), at_walk]))
 """
 
 
@@ -194,6 +219,17 @@ class TestDetCommand:
         assert out.returncode == 2
         err = json.loads(out.stderr)
         assert err["error"] == "TruncationError"
+
+    def test_truncation_refused_before_the_walk(self, monkeypatch, capsys):
+        def walk(*args):
+            raise AssertionError("the length spectrum was enumerated")
+
+        monkeypatch.setattr(fuchsian, "enumerate_length_spectrum", walk)
+        rc = cli.main(["det", "--group", "thrice-punctured-sphere",
+                       "--cutoff", "6", "--t-max", "50"])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (2, "TruncationError")
+        assert "a cutoff of at least 28 is required" in err["message"]
 
 
 class TestScatterCheckCommand:
@@ -572,8 +608,8 @@ class TestProcessExit:
     ])
     def test_commands_without_erfcx_skip_its_set_up(self, argv):
         # neither numpy.fft (erfcx's table is literal) nor
-        # numpy.polynomial is needed; every layer is still imported, for
-        # the benchmark shim to wrap
+        # numpy.polynomial is needed; every layer is still in sys.modules,
+        # for the benchmark shim to wrap
         out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv],
                              capture_output=True, text=True, timeout=120)
         rc, modules = json.loads(out.stdout.splitlines()[-1])
@@ -621,6 +657,86 @@ class TestProcessExit:
         assert seen == value
         if preset is None:
             assert tasks == "1"
+
+
+class TestLayersRun:
+    """Each command runs (compiles) only the layers it lists, and a bare
+    import of the CLI runs none; every layer is still in sys.modules."""
+
+    SPHERE = ["--group", "thrice-punctured-sphere"]
+
+    @staticmethod
+    def probe(*argv):
+        out = subprocess.run([sys.executable, "-c", RUN_PROBE, *argv],
+                             capture_output=True, text=True, timeout=120)
+        rc, run, at_walk = json.loads(out.stdout.splitlines()[-1])
+        return rc, set(run) - {"cuspspec.cli"}, at_walk
+
+    COMMANDS = [
+        (["--help"], set()),
+        (["spectrum", *SPHERE, "--max-length", "6"], {"fuchsian"}),
+        (["trace", *SPHERE, "--max-length", "6", "--t", "0.5"],
+         {"specfun", "cusp_model", "fuchsian", "trace_terms"}),
+        (["det", *SPHERE, "--cutoff", "6", "--t-max", "2"],
+         {"specfun", "cusp_model", "fuchsian", "trace_terms",
+          "zeta_engine"}),
+        # zeta_engine binds trace_terms, but pinch-sweep's calls of it
+        # never reach it
+        (["pinch-sweep", *SPHERE, "--cutoff", "6", "--ell-num", "3"],
+         {"specfun", "fuchsian", "zeta_engine", "degeneration"}),
+        (["scatter-check", "--model", "{model}", "--t", "1"],
+         {"specfun", "trace_terms"}),
+        (["selfcheck"], {"specfun", "cusp_model", "dtn_cusp", "trace_terms",
+                         "zeta_engine", "degeneration"}),
+    ]
+
+    @pytest.mark.parametrize("argv,layers", COMMANDS)
+    def test_command_runs_only_its_layers(self, argv, layers, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(INPUT_FILES["{model}"])
+        rc, run, _ = self.probe(*[str(model) if a == "{model}" else a
+                                  for a in argv])
+        assert rc == 0
+        assert run == {"cuspspec.errors"} | {"cuspspec." + m for m in layers}
+
+    def test_every_subcommand_lists_its_layers(self):
+        # a command left out of COMMAND_LAYERS would compile its layers
+        # inside the command
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(cli.COMMAND_LAYERS) == set(sub.choices) == {
+            argv[0] for argv, _ in self.COMMANDS[1:]}
+
+    def test_det_runs_its_engine_before_the_walk(self):
+        # compiled during the walk, the engine would add to its peak RSS
+        rc, _, at_walk = self.probe("det", *self.SPHERE, "--cutoff", "6",
+                                    "--t-max", "2")
+        assert rc == 0
+        assert len(at_walk) == 1
+        assert {"cuspspec.trace_terms", "cuspspec.zeta_engine"} <= set(
+            at_walk[0])
+
+    def test_import_registers_the_bench_layers(self):
+        # the shim reads each layer it wraps from sys.modules
+        probe = "import sys, cuspspec.cli; print(' '.join(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True, timeout=120)
+        assert {"cuspspec." + m for m, _ in bench_shim_layers()} <= set(
+            out.stdout.split())
+
+    def test_layer_imported_before_cli_stays_one_object(self):
+        # a second module object would leave tests that patch a layer
+        # patching a copy the CLI does not call
+        probe = ("import sys, cuspspec, cuspspec.trace_terms\n"
+                 "from cuspspec import cli\n"
+                 "import cuspspec.zeta_engine as z\n"
+                 "print(cli.trace_terms is sys.modules['cuspspec.trace_terms']"
+                 " is cuspspec.trace_terms,"
+                 " z is cli.zeta_engine is cuspspec.zeta_engine,"
+                 " z.trace_terms is cli.trace_terms)")
+        out = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["True"] * 3
 
 
 # zero, negatives, NaN, the infinities, the smallest subnormal and huge
@@ -775,14 +891,20 @@ def test_spectrum_accepts_or_refuses(group, fmt, data):
                         *as_argv(values)], codes=(0, 2, 3))
 
 
-def test_bench_layer_names_resolve():
-    """Every (module, function) the benchmark's tracing shim wraps must
-    exist, or a traced benchmark run fails."""
+def bench_shim_layers():
+    """The (module, function) pairs the benchmark's tracing shim wraps,
+    read from its source file."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench/shim.py"
     spec = importlib.util.spec_from_file_location("bench_shim", path)
     shim = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(shim)
-    for module, name in shim.LAYERS:
+    return shim.LAYERS
+
+
+def test_bench_layer_names_resolve():
+    """Every (module, function) the benchmark's tracing shim wraps must
+    exist, or a traced benchmark run fails."""
+    for module, name in bench_shim_layers():
         mod = importlib.import_module("cuspspec." + module)
         assert callable(getattr(mod, name))
 

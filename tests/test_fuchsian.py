@@ -416,6 +416,13 @@ class TestSpectrumValidation:
         with pytest.raises(DomainError):
             LengthSpectrum((entry,), cutoff, SurfaceData(genus=0, cusps=3), 6)
 
+    @pytest.mark.parametrize("mult", ["2", None])
+    def test_non_numeric_multiplicity_refused(self, mult):
+        # float("2") passed, and then "2" >= 1 raised TypeError
+        with pytest.raises(DomainError, match="multiplicities"):
+            LengthSpectrum((SpectrumEntry(2.0, mult),), 12.0,
+                           SurfaceData(genus=0, cusps=3), 6)
+
     def test_integral_float_multiplicity_accepted(self):
         spec = LengthSpectrum((SpectrumEntry(2.0, 2.0),), 12.0,
                               SurfaceData(genus=0, cusps=3), 6)

@@ -78,6 +78,12 @@ class TestScatteringModel:
             ScatteringModel(((complex(-0.3, 1.0), order),
                              (complex(-0.3, -1.0), order)), 2.0)
 
+    @pytest.mark.parametrize("order", [math.nan, math.inf])
+    def test_non_finite_order_refused(self, order):
+        # int() of these raised ValueError and OverflowError
+        with pytest.raises(DomainError, match="must be integers"):
+            ScatteringModel(((complex(-0.3, 0.0), order),), 1.0)
+
     def test_integral_float_order_accepted(self):
         m = ScatteringModel(((complex(-0.3, 0.0), 2.0),), 1.0)
         assert m.resonances == ((complex(-0.3, 0.0), 2),)

@@ -347,6 +347,15 @@ class TestRelativeDeterminant:
         need = re.search(r"at least (\S+) is required", str(info.value))
         assert float(need.group(1)) > spec.cutoff
 
+    def test_window_check_needs_no_spectrum(self):
+        # the trusted window itself passes; the next double past it is
+        # refused with the same error relative_determinant raises
+        bound = max_t_for_cutoff(6.0, 0.02)
+        zeta_engine.check_t_max(6.0, bound, 0.02)
+        with pytest.raises(TruncationError, match="at least 6 is required"):
+            zeta_engine.check_t_max(6.0, math.nextafter(bound, math.inf),
+                                    0.02)
+
     def test_cut_height_shift_of_zeta_prime(self):
         # raising each cut height from 1 to e adds 3 * (-1/2) to
         # zeta'(0) exactly; the numerical shift must agree within the

@@ -5,8 +5,9 @@ Usage: python tools/same_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are directories that hold a `cuspspec` package (the
 `src/` of two checkouts).  Each argv of ARGVS runs as a fresh
 `python -m cuspspec.cli` process on each tree, in one scratch directory
-that also holds the scatter-check model file and a --config file.  Every argv whose stdout,
-stderr or exit code differs is printed; the exit code is 1 if any does.
+that also holds the scatter-check model file and two --config files.
+Every argv whose stdout, stderr or exit code differs is printed; the
+exit code is 1 if any does.
 """
 
 import json
@@ -20,6 +21,8 @@ MODEL = {"q": 2.0, "phi_half": 1.0,
          "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
                         {"re": -0.3, "im": -1.0, "order": 1}]}
 CONFIG = {"t_max": 10.0, "eps_trunc": 0.1}
+# a --config key that is no option of any subcommand
+UNKNOWN_CONFIG = {"t_max": 10.0, "cut_off": 12}
 ARGVS = [
     *(["det", "--group", group, "--cutoff", "12", "--t-max", "8"]
       for group in ("thrice-punctured-sphere", "once-punctured-torus(3.47)",
@@ -71,6 +74,11 @@ ARGVS = [
     ["det", *SPHERE, "--cutoff", "6", "--t-max", "50"],
     ["--config", "config.json", "pinch-sweep", *SPHERE, "--cutoff", "6",
      "--ell-num", "3"],
+    # refused at parse time or before the walk, with no layer needed
+    ["det", "--help"],
+    ["det", *SPHERE],
+    ["spectrum", "--group", "nope", "--max-length", "6"],
+    ["--config", "unknown.json", "det", *SPHERE, "--cutoff", "12"],
 ]
 
 
@@ -87,7 +95,8 @@ def main():
     old, new = sys.argv[1:]
     differ = 0
     with tempfile.TemporaryDirectory() as cwd:
-        for name, obj in (("model.json", MODEL), ("config.json", CONFIG)):
+        for name, obj in (("model.json", MODEL), ("config.json", CONFIG),
+                          ("unknown.json", UNKNOWN_CONFIG)):
             with open(os.path.join(cwd, name), "w") as fh:
                 json.dump(obj, fh)
         for args in ARGVS:
