@@ -149,11 +149,15 @@ def _spectrum_args(args):
                   "word_radius: %d" % spec.word_radius]
 
 
-def _cusp_family(args, spectrum):
-    """--cusp-starts, by default 1 for every cusp; theta checks the count."""
-    if args.cusp_starts:
-        return cusp_model.CuspFamily(tuple(_parse_floats(args.cusp_starts)))
-    return cusp_model.CuspFamily((1.0,) * spectrum.surface.cusps)
+def _cusp_family(args):
+    """--cusp-starts, by default 1 for every cusp of the group; the count
+    is checked here, before the walk."""
+    surface = fuchsian.builtin_group(args.group).surface
+    if not args.cusp_starts:
+        return cusp_model.CuspFamily((1.0,) * surface.cusps)
+    fam = cusp_model.CuspFamily(tuple(_parse_floats(args.cusp_starts)))
+    trace_terms.check_cusp_count(surface, fam)
+    return fam
 
 
 def _csv(args, provenance, columns, rows):
@@ -185,8 +189,8 @@ def cmd_spectrum(args):
 
 def cmd_trace(args):
     ts = np.array(_parse_floats(args.t))
+    fam = _cusp_family(args)
     spec, provenance = _spectrum_args(args)
-    fam = _cusp_family(args, spec)
     cols = trace_terms.heat_trace_columns(spec, fam, ts)
     _write(args.out, _csv(
         args, provenance + [
@@ -198,14 +202,15 @@ def cmd_trace(args):
 
 
 def cmd_det(args):
-    # an untrusted t-max is refused before the walk; a cutoff that is not
-    # positive is left to the walk, which names it as the fault
+    # an untrusted t-max and a wrong count of cut heights are refused
+    # before the walk; a cutoff that is not positive is left to the walk,
+    # which names it as the fault
     if args.max_length > 0:
         zeta_engine.check_t_max(args.max_length, args.t_max, args.eps_trunc)
+    fam = _cusp_family(args)
     spec, _ = _spectrum_args(args)
     res = zeta_engine.relative_determinant(
-        spec, _cusp_family(args, spec), args.t_max,
-        eps_trunc=args.eps_trunc)
+        spec, fam, args.t_max, eps_trunc=args.eps_trunc)
     obj = dict(dataclasses.asdict(res.zeta), det_hyp=res.det_hyp)
     _write(args.out, _json_dump(obj) + "\n")
     return EXIT_OK

@@ -26,8 +26,8 @@ __all__ = [
     "P_EXPANSION", "expansion_value",
     "parabolic_p", "cusp_term",
     "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
-    "cut_height_term", "heat_trace_columns", "relative_heat_trace",
-    "model_from_json",
+    "cut_height_term", "check_cusp_count", "heat_trace_columns",
+    "relative_heat_trace", "model_from_json",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -69,12 +69,15 @@ class ScatteringModel:
     q: float
 
     def __post_init__(self):
+        if not all(isinstance(r, numbers.Complex) for r, _ in self.resonances):
+            raise DomainError("resonances must be numbers")
         if not all(isinstance(n, numbers.Real) and float(n).is_integer()
                    for _, n in self.resonances):
             raise DomainError("resonance orders must be integers")
         res = tuple((complex(r), int(n)) for r, n in self.resonances)
         object.__setattr__(self, "resonances", res)
-        if not (math.isfinite(self.q) and self.q > 0.0):
+        if not (isinstance(self.q, numbers.Real) and math.isfinite(self.q)
+                and self.q > 0.0):
             raise DomainError("ScatteringModel.q must be finite and positive")
         bag = {}
         for rho, n in res:
@@ -359,6 +362,15 @@ def cut_height_term(cusp_starts, t):
     return _shaped(out, shape)
 
 
+def check_cusp_count(surface, cusp_starts):
+    """Refuse cusp_starts unless it holds one cut height per cusp of the
+    surface; the spectrum is not needed, so a caller can check before the
+    walk."""
+    if surface.cusps != len(cusp_starts.starts):
+        raise DomainError("%d cut heights for a surface with %d cusps"
+                          % (len(cusp_starts.starts), surface.cusps))
+
+
 def heat_trace_columns(spectrum, cusp_starts, t):
     """The four terms of the geometric-side relative heat trace of the
     spectrum's surface against the reference model operator with cut
@@ -366,9 +378,7 @@ def heat_trace_columns(spectrum, cusp_starts, t):
     hyperbolic_trace, m cusp_term(t) and cut_height_term.
     """
     surface = spectrum.surface
-    if surface.cusps != len(cusp_starts.starts):
-        raise DomainError("%d cut heights for a surface with %d cusps"
-                          % (len(cusp_starts.starts), surface.cusps))
+    check_cusp_count(surface, cusp_starts)
     return (identity_term(surface.area, t),  # refuses a bad t first
             hyperbolic_trace(spectrum, t),
             surface.cusps * cusp_term(t), cut_height_term(cusp_starts, t))

@@ -231,6 +231,24 @@ class TestDetCommand:
         assert (rc, err["error"]) == (2, "TruncationError")
         assert "a cutoff of at least 28 is required" in err["message"]
 
+    @pytest.mark.parametrize("argv, cusps", [
+        (["det", "--group", "thrice-punctured-sphere", "--cutoff", "14",
+          "--t-max", "8", "--cusp-starts", "1,1"], 3),
+        (["trace", "--group", "once-punctured-torus(3.5)", "--max-length",
+          "6", "--t", "1", "--cusp-starts", "1,1"], 1),
+    ])
+    def test_cusp_count_refused_before_the_walk(self, argv, cusps,
+                                                monkeypatch, capsys):
+        def walk(*args):
+            raise AssertionError("the length spectrum was enumerated")
+
+        monkeypatch.setattr(fuchsian, "enumerate_length_spectrum", walk)
+        rc = cli.main(argv)
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (2, "DomainError")
+        assert err["message"] == ("2 cut heights for a surface with %d cusps"
+                                  % cusps)
+
 
 class TestScatterCheckCommand:
     def test_residuals(self, tmp_path):

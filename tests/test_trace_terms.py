@@ -116,6 +116,20 @@ class TestScatteringModel:
         with pytest.raises(DomainError):
             model_from_json(obj)
 
+    @pytest.mark.parametrize("resonances, q", [
+        ((("x", 1),), 1.0),
+        (((None, 1),), 1.0),
+        ((("-0.3", 1),), 1.0),
+        ((), "x"),
+        ((), None),
+        ((), "2.0"),
+    ])
+    def test_malformed_model_refused(self, resonances, q):
+        # the JSON reader converts its fields before the model sees them;
+        # built directly, these raised a bare ValueError or TypeError
+        with pytest.raises(DomainError):
+            ScatteringModel(resonances, q)
+
 
 class TestPhiLogDeriv:
     def test_real_on_real_axis(self):

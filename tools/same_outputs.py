@@ -79,6 +79,11 @@ ARGVS = [
     ["det", *SPHERE],
     ["spectrum", "--group", "nope", "--max-length", "6"],
     ["--config", "unknown.json", "det", *SPHERE, "--cutoff", "12"],
+    # a wrong count of cut heights, refused before the walk
+    ["det", *SPHERE, "--cutoff", "14", "--t-max", "8", "--cusp-starts", "1,1"],
+    # a deep walk on non-integer entries
+    ["spectrum", "--group", "once-punctured-torus(40.0)", "--max-length", "8",
+     "--word-radius", "14"],
 ]
 
 
