@@ -43,21 +43,20 @@ def _layer(name):
 
 
 # the layers in package order: each imports only layers before it
-LAYERS = ("specfun", "cusp_model", "dtn_cusp", "fuchsian", "trace_terms",
-          "zeta_engine", "degeneration")
-(specfun, cusp_model, dtn_cusp, fuchsian, trace_terms, zeta_engine,
+LAYERS = ("specfun", "cusp_model", "fuchsian", "trace_terms", "zeta_engine",
+          "degeneration")
+(specfun, cusp_model, fuchsian, trace_terms, zeta_engine,
  degeneration) = map(_layer, LAYERS)
 # every layer each subcommand runs, even one that another layer binds but
 # reaches only inside the command; main() runs them before anything else
 COMMAND_LAYERS = {
     "spectrum": {"fuchsian"},
-    "trace": {"specfun", "cusp_model", "fuchsian", "trace_terms"},
-    "det": {"specfun", "cusp_model", "fuchsian", "trace_terms",
-            "zeta_engine"},
-    "scatter-check": {"specfun", "trace_terms"},
+    "trace": {"specfun", "fuchsian", "trace_terms"},
+    "det": {"specfun", "fuchsian", "trace_terms", "zeta_engine"},
+    "scatter-check": {"specfun", "cusp_model"},
     "pinch-sweep": {"specfun", "fuchsian", "zeta_engine", "degeneration"},
-    "selfcheck": {"specfun", "cusp_model", "dtn_cusp", "trace_terms",
-                  "zeta_engine", "degeneration"},
+    "selfcheck": {"specfun", "cusp_model", "trace_terms", "zeta_engine",
+                  "degeneration"},
 }
 
 EXIT_OK = 0
@@ -139,23 +138,21 @@ def _parse_floats(text):
     return values
 
 
-def _spectrum_args(args):
-    """The length spectrum and the provenance lines that name it."""
+def _spectrum_args(args, group):
+    """The length spectrum of group and the provenance lines that name it."""
     spec = fuchsian.enumerate_length_spectrum(
-        fuchsian.builtin_group(args.group), args.max_length,
-        args.word_radius)
+        group, args.max_length, args.word_radius)
     return spec, ["group: %s" % args.group,
                   "max_length: %s" % _fmt(args.max_length),
                   "word_radius: %d" % spec.word_radius]
 
 
-def _cusp_family(args):
-    """--cusp-starts, by default 1 for every cusp of the group; the count
-    is checked here, before the walk."""
-    surface = fuchsian.builtin_group(args.group).surface
+def _cusp_family(args, surface):
+    """--cusp-starts, by default 1 for every cusp of the surface; the
+    count is checked here, before the walk."""
     if not args.cusp_starts:
-        return cusp_model.CuspFamily((1.0,) * surface.cusps)
-    fam = cusp_model.CuspFamily(tuple(_parse_floats(args.cusp_starts)))
+        return trace_terms.CuspFamily((1.0,) * surface.cusps)
+    fam = trace_terms.CuspFamily(tuple(_parse_floats(args.cusp_starts)))
     trace_terms.check_cusp_count(surface, fam)
     return fam
 
@@ -171,7 +168,7 @@ def _csv(args, provenance, columns, rows):
 
 
 def cmd_spectrum(args):
-    spec, provenance = _spectrum_args(args)
+    spec, provenance = _spectrum_args(args, fuchsian.builtin_group(args.group))
     if args.format == "json":
         obj = dataclasses.asdict(spec)
         obj = {k: obj[k] for k in ("surface", "cutoff", "entries",
@@ -189,8 +186,9 @@ def cmd_spectrum(args):
 
 def cmd_trace(args):
     ts = np.array(_parse_floats(args.t))
-    fam = _cusp_family(args)
-    spec, provenance = _spectrum_args(args)
+    group = fuchsian.builtin_group(args.group)
+    fam = _cusp_family(args, group.surface)
+    spec, provenance = _spectrum_args(args, group)
     cols = trace_terms.heat_trace_columns(spec, fam, ts)
     _write(args.out, _csv(
         args, provenance + [
@@ -207,8 +205,9 @@ def cmd_det(args):
     # which names it as the fault
     if args.max_length > 0:
         zeta_engine.check_t_max(args.max_length, args.t_max, args.eps_trunc)
-    fam = _cusp_family(args)
-    spec, _ = _spectrum_args(args)
+    group = fuchsian.builtin_group(args.group)
+    fam = _cusp_family(args, group.surface)
+    spec, _ = _spectrum_args(args, group)
     res = zeta_engine.relative_determinant(
         spec, fam, args.t_max, eps_trunc=args.eps_trunc)
     obj = dict(dataclasses.asdict(res.zeta), det_hyp=res.det_hyp)
@@ -223,13 +222,13 @@ def cmd_scatter_check(args):
             obj = json.load(fh)
         except ValueError as exc:
             raise DomainError("--model is not JSON: %s" % exc) from None
-    model = trace_terms.model_from_json(obj)
+    model = cusp_model.model_from_json(obj)
     rows = []
     for t in ts:
-        a = trace_terms.scattering_integral(model, t)
-        b = trace_terms.scattering_erfc_sum(model, t)
+        a = cusp_model.scattering_integral(model, t)
+        b = cusp_model.scattering_erfc_sum(model, t)
         rows.append((t, a, b, abs(a - b) / (1.0 + abs(b))))
-    quad = trace_terms.SCATTERING_SPEC
+    quad = cusp_model.SCATTERING_SPEC
     _write(args.out, _csv(
         args, ["model: %s" % os.path.basename(args.model),
                "quad_abs_tol: %s" % _fmt(quad.abs_tol),
@@ -254,7 +253,7 @@ def cmd_pinch_sweep(args):
         grid = list(np.geomspace(args.ell_start, args.ell_stop,
                                  args.ell_num))
         grid.sort(reverse=True)
-    spec, provenance = _spectrum_args(args)
+    spec, provenance = _spectrum_args(args, fuchsian.builtin_group(args.group))
     indices = args.pinch_index if args.pinch_index else [0]
     rows = degeneration.pinch_sweep(spec, indices, grid, args.baseline)
     columns = [f.name for f in dataclasses.fields(degeneration.PinchSweepRow)]
@@ -287,8 +286,8 @@ def cmd_selfcheck(args):
                       - math.sqrt(math.pi / 6.0)) < 1e-10)
     check("cusp trace quadrature oracle", _selfcheck_cusp)
     check("dtn symbol limit at s=1", lambda: abs(
-        dtn_cusp.n2_symbol(1.0 + 1e-7, 1, 1.5)
-        - dtn_cusp.n2_zero_symbol(1, 1.5)) < 1e-5)
+        cusp_model.n2_symbol(1.0 + 1e-7, 1, 1.5)
+        - cusp_model.n2_zero_symbol(1, 1.5)) < 1e-5)
     check("scattering identity", _selfcheck_scatter)
     check("zeta engine two-eigenvalue oracle", _selfcheck_zeta)
     check("wolpert asymptotic agreement", lambda: abs(
@@ -307,15 +306,15 @@ def _selfcheck_cusp():
     # the integrand has a kink at y = a; split there
     val = (specfun.integrate(integrand, 1.0, a).value
            + specfun.integrate(integrand, a, np.inf).value)
-    cut = trace_terms.cut_height_term(cusp_model.CuspFamily((a,)), t)
+    cut = trace_terms.cut_height_term(trace_terms.CuspFamily((a,)), t)
     return abs(val + cut) < 1e-8
 
 
 def _selfcheck_scatter():
-    model = trace_terms.ScatteringModel(
+    model = cusp_model.ScatteringModel(
         ((complex(-0.3, 1.0), 1), (complex(-0.3, -1.0), 1)), 2.0)
-    a = trace_terms.scattering_integral(model, 1.0)
-    b = trace_terms.scattering_erfc_sum(model, 1.0)
+    a = cusp_model.scattering_integral(model, 1.0)
+    b = cusp_model.scattering_erfc_sum(model, 1.0)
     return abs(a - b) <= 1e-6 * (1.0 + abs(b))
 
 

@@ -2,32 +2,24 @@
 
 Geometric side: identity term (area times the hyperbolic plane heat kernel
 on the diagonal), hyperbolic term (sum over closed geodesics), parabolic
-term P(t), and the cusp cut-height correction.  The synthetic scattering
-model supplies the spectral-side counterpart through its resonance set.
-
-The central cross-check of this module is the identity between the
-scattering integral and its closed-form resonance sum
-(:func:`scattering_integral` vs :func:`scattering_erfc_sum`).
+term P(t), and the cusp cut-height correction with its cut heights
+(:class:`CuspFamily`).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, PoleError
-from .specfun import QuadratureSpec
+from .errors import DomainError
 
 __all__ = [
-    "ScatteringModel",
     "identity_term", "hyperbolic_trace",
     "P_EXPANSION", "expansion_value",
     "parabolic_p", "cusp_term",
-    "phi_log_deriv", "scattering_integral", "scattering_erfc_sum",
-    "cut_height_term", "check_cusp_count", "heat_trace_columns",
-    "relative_heat_trace", "model_from_json",
+    "CuspFamily", "cut_height_term", "check_cusp_count",
+    "heat_trace_columns", "relative_heat_trace",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -52,47 +44,6 @@ def expansion_value(terms, t):
     t = np.asarray(t, dtype=float)
     lt = np.log(t)
     return sum((c * t ** a * lt ** k for a, k, c in terms), np.zeros_like(t))
-
-
-@dataclass(frozen=True)
-class ScatteringModel:
-    """Synthetic determinant of the scattering matrix.
-
-    phi(s) = +-q^{s-1/2} * prod_rho ((s-1+conj(rho))/(s-rho))^{n(rho)}
-
-    resonances: list of (rho, order) with Re rho < 1/2, closed under
-    conjugation with equal orders so phi is real on the real axis.  The
-    sign phi(1/2) = +-1 drops out of phi'/phi and is not stored.
-    """
-
-    resonances: tuple
-    q: float
-
-    def __post_init__(self):
-        if not all(isinstance(r, numbers.Complex) for r, _ in self.resonances):
-            raise DomainError("resonances must be numbers")
-        if not all(isinstance(n, numbers.Real) and float(n).is_integer()
-                   for _, n in self.resonances):
-            raise DomainError("resonance orders must be integers")
-        res = tuple((complex(r), int(n)) for r, n in self.resonances)
-        object.__setattr__(self, "resonances", res)
-        if not (isinstance(self.q, numbers.Real) and math.isfinite(self.q)
-                and self.q > 0.0):
-            raise DomainError("ScatteringModel.q must be finite and positive")
-        bag = {}
-        for rho, n in res:
-            if n == 0:
-                raise DomainError("resonance orders must be nonzero")
-            if not (math.isfinite(rho.real) and math.isfinite(rho.imag)):
-                raise DomainError("resonances must be finite")
-            if rho.real >= 0.5:
-                raise DomainError("resonances must satisfy Re rho < 1/2")
-            key = (round(rho.real, 9), round(abs(rho.imag), 9))
-            bag[key] = bag.get(key, 0) + (n if rho.imag >= 0 else -n)
-        if any(v != 0 for k, v in bag.items() if k[1] != 0):
-            raise DomainError(
-                "resonances must be closed under conjugation with "
-                "equal orders")
 
 
 # Every trace term takes t as a scalar or an array: a scalar returns a
@@ -285,73 +236,23 @@ def cusp_term(t):
     return _shaped(out, shape)
 
 
-def phi_log_deriv(model, s):
-    """phi'/phi(s) = log q + sum n(rho) [1/(s-1+conj(rho)) - 1/(s-rho)].
+@dataclass(frozen=True)
+class CuspFamily:
+    """One finite Dirichlet cut height a_j >= 1 per cusp."""
 
-    s is a complex scalar (complex result) or an array (complex array of
-    its shape).
-    """
-    s = np.asarray(s, dtype=complex)
-    out = np.full_like(s, math.log(model.q))
-    for rho, n in model.resonances:
-        zero = 1.0 - np.conj(rho)
-        if np.any((np.abs(s - rho) < 1e-12) | (np.abs(s - zero) < 1e-12)):
-            raise PoleError("phi'/phi evaluated at a pole or zero")
-        out += n * (1.0 / (s - zero) - 1.0 / (s - rho))
-    return complex(out) if s.ndim == 0 else out
+    starts: tuple
 
+    def __post_init__(self):
+        starts = tuple(float(a) for a in self.starts)
+        object.__setattr__(self, "starts", starts)
+        if not starts:
+            raise DomainError("CuspFamily needs at least one cusp")
+        if not all(math.isfinite(a) and a >= 1.0 for a in starts):
+            raise DomainError("cusp start heights must be finite and >= 1")
 
-# tolerances of the scattering integral
-SCATTERING_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
-                                 max_subdivisions=4000)
-# the scattering identity's t range: the integral drifts below, 0 = 0 above
-_SCATTER_T = (1e-20, 3000.0)
-
-
-def scattering_integral(model, t):
-    """-(1/4pi) int_R e^{-(1/4+lam^2)t} phi'/phi(1/2 + i lam) dlam.
-
-    For a conjugation-closed model the integrand's real part is even and
-    its imaginary part odd, so twice the half-line real part suffices.
-    """
-    if not _SCATTER_T[0] <= t <= _SCATTER_T[1]:
-        raise DomainError("scattering_integral: t outside [%g, %g]"
-                          % _SCATTER_T)
-    for rho, _ in model.resonances:
-        if abs(rho.real - 0.5) < 1e-9:
-            raise DomainError("resonance on the critical line")
-
-    def f(lam):
-        return (np.exp(-(0.25 + lam * lam) * t)
-                * np.real(phi_log_deriv(model, 0.5 + 1j * lam)))
-
-    half = specfun.integrate(f, 0.0, np.inf, spec=SCATTERING_SPEC).value
-    return -1.0 / (4.0 * math.pi) * 2.0 * half
-
-
-def scattering_erfc_sum(model, t):
-    """Resonance-sum form of the scattering integral:
-
-    -log(q) e^{-t/4} / sqrt(16 pi t)
-      + (1/4) sum_rho n(rho) { e^{-t rho(1-rho)} Erfc(sqrt(t)(1/2-rho))
-                             + (conjugate term) }.
-
-    Each summand is evaluated in the scaled form
-    e^{-t/4} erfcx(sqrt(t)(1/2-rho)), which is exact (the two exponents
-    differ by exactly t(1/2-rho)^2) and free of overflow for resonances
-    far left of the critical line.
-    """
-    if not _SCATTER_T[0] <= t <= _SCATTER_T[1]:
-        raise DomainError("scattering_erfc_sum: t outside [%g, %g]"
-                          % _SCATTER_T)
-    rt = math.sqrt(t)
-    damp = math.exp(-t / 4.0)
-    out = -math.log(model.q) * damp / math.sqrt(16.0 * math.pi * t)
-    acc = 0.0 + 0.0j
-    for rho, n in model.resonances:
-        acc += n * (specfun.erfcx(rt * (0.5 - rho))
-                    + specfun.erfcx(rt * (0.5 - np.conj(rho))))
-    return out + 0.25 * damp * acc.real
+    @property
+    def log_sum(self):
+        return sum(math.log(a) for a in self.starts)
 
 
 def cut_height_term(cusp_starts, t):
@@ -388,21 +289,3 @@ def relative_heat_trace(spectrum, cusp_starts, t):
     """theta(t), the sum of :func:`heat_trace_columns`."""
     return sum(heat_trace_columns(spectrum, cusp_starts, t))
 
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-def model_from_json(obj):
-    """ScatteringModel from a parsed --model file; a missing key or a
-    non-numeric field raises DomainError, as the model's own checks do.
-    Keys other than q and resonances are ignored."""
-    try:
-        return ScatteringModel(
-            resonances=[(complex(r["re"], r["im"]), r["order"])
-                        for r in obj["resonances"]], q=float(obj["q"]))
-    except DomainError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError("malformed scattering model: %s: %s"
-                          % (type(exc).__name__, exc)) from None

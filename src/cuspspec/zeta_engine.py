@@ -82,6 +82,13 @@ _TAIL_POINTS = 8
 _TAIL_MIN_WIDTH = 1e-9
 
 
+def _check_window(t_max):
+    """Refuse a t_max that is not finite or below 1 + _TAIL_MIN_WIDTH."""
+    if not (math.isfinite(t_max) and t_max - 1.0 >= _TAIL_MIN_WIDTH):
+        raise DomainError("t_max must be finite and >= 1 + %g"
+                          % _TAIL_MIN_WIDTH)
+
+
 def _tail_estimate(theta, h, t_max, min_decay):
     """Fit C e^{-mu t} on the last decade and integrate the tail at s=0.
 
@@ -128,9 +135,7 @@ def mellin_zeta_prime0(theta, terms, h, t_max, min_decay=0.2):
     1 + _TAIL_MIN_WIDTH).
     min_decay: lower bound demanded of the fitted tail decay rate.
     """
-    if not (math.isfinite(t_max) and t_max - 1.0 >= _TAIL_MIN_WIDTH):
-        raise DomainError("t_max must be finite and >= 1 + %g"
-                          % _TAIL_MIN_WIDTH)
+    _check_window(t_max)
 
     if any(a == 0.0 and k > 0 for a, k, _ in terms):
         raise DomainError("the alpha = 0 term may not carry a log factor")
@@ -222,9 +227,10 @@ def max_t_for_cutoff(cutoff, eps_trunc):
 
 
 def check_t_max(cutoff, t_max, eps_trunc):
-    """Refuse a t_max past max_t_for_cutoff with the cutoff it needs;
-    the spectrum is not needed, so a caller can check before the walk."""
+    """Refuse a t_max the engine refuses, or one past max_t_for_cutoff
+    with the cutoff it needs; a caller can check before the walk."""
     bound = max_t_for_cutoff(cutoff, eps_trunc)
+    _check_window(t_max)
     if t_max > bound:
         need = math.sqrt(4.0 * t_max * math.log(1.0 / eps_trunc))
         raise TruncationError(

@@ -24,10 +24,11 @@ import mpmath as mp
 import numpy as np
 
 from conftest import engine_cusp_constant, record_criterion, wolpert_series
-from cuspspec import degeneration, dtn_cusp, specfun
+from cuspspec import cusp_model, degeneration, specfun
 from cuspspec import trace_terms, zeta_engine
-from cuspspec.cusp_model import CuspFamily, cusp_heat_kernel
+from cuspspec.cusp_model import cusp_heat_kernel
 from cuspspec.fuchsian import builtin_group, enumerate_length_spectrum
+from cuspspec.trace_terms import CuspFamily
 
 
 def test_criterion_1_cusp_trace_closed_form():
@@ -57,13 +58,13 @@ def test_criterion_2_dtn_limits():
     monotone = True
     for n in (1, 2, 3):
         for beta in (1.0, 1.5, 3.0):
-            ref = dtn_cusp.n2_zero_symbol(n, beta)
+            ref = cusp_model.n2_zero_symbol(n, beta)
             for target in (1.0, 0.0):
                 for sign in (1.0, -1.0):
                     worst = max(worst, abs(
-                        dtn_cusp.n2_symbol(target + sign * 1e-6, n, beta)
+                        cusp_model.n2_symbol(target + sign * 1e-6, n, beta)
                         - ref))
-                errs = [abs(dtn_cusp.n2_symbol(target + eps, n, beta) - ref)
+                errs = [abs(cusp_model.n2_symbol(target + eps, n, beta) - ref)
                         for eps in (1e-3, 1e-4, 1e-5, 1e-6)]
                 monotone &= all(b < a for a, b in zip(errs, errs[1:]))
     ok = worst <= 1e-6 and monotone
@@ -84,11 +85,11 @@ def test_criterion_3_scattering_identity():
             order = int(rng.integers(1, 3))
             res.append((complex(re, im), order))
             res.append((complex(re, -im), order))
-        model = trace_terms.ScatteringModel(
+        model = cusp_model.ScatteringModel(
             tuple(res), float(rng.uniform(0.5, 4.0)))
         for t in (0.3, 1.0, 5.0):
-            a = trace_terms.scattering_integral(model, t)
-            b = trace_terms.scattering_erfc_sum(model, t)
+            a = cusp_model.scattering_integral(model, t)
+            b = cusp_model.scattering_erfc_sum(model, t)
             worst = max(worst, abs(a - b) / (1.0 + abs(b)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0

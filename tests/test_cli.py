@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cuspspec
 from cuspspec import cli, fuchsian, trace_terms
-from cuspspec.cusp_model import CuspFamily
+from cuspspec.trace_terms import CuspFamily
 
 
 # a two-resonance scattering model in the --model file format
@@ -230,6 +230,19 @@ class TestDetCommand:
         err = json.loads(capsys.readouterr().err)
         assert (rc, err["error"]) == (2, "TruncationError")
         assert "a cutoff of at least 28 is required" in err["message"]
+
+    @pytest.mark.parametrize("t_max", ["inf", "nan", "1", "-1"])
+    def test_engine_window_refused_before_the_walk(self, t_max, monkeypatch,
+                                                   capsys):
+        def walk(*args):
+            raise AssertionError("the length spectrum was enumerated")
+
+        monkeypatch.setattr(fuchsian, "enumerate_length_spectrum", walk)
+        rc = cli.main(["det", "--group", "thrice-punctured-sphere",
+                       "--cutoff", "12", "--t-max", t_max])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"]) == (2, "DomainError")
+        assert err["message"] == "t_max must be finite and >= 1 + 1e-09"
 
     @pytest.mark.parametrize("argv, cusps", [
         (["det", "--group", "thrice-punctured-sphere", "--cutoff", "14",
@@ -514,6 +527,12 @@ class TestErrorChannel:
          "thrice-punctured-sphere", "--cutoff", "6"],
         # -h takes no default, so "help" names no option
         ["--config", "{config-help}", "selfcheck"],
+        # t-max values the engine refuses, refused before the walk with
+        # its message, ahead of an unknown group
+        *(["det", "--group", "thrice-punctured-sphere", "--cutoff", cutoff,
+           "--t-max", t_max] for cutoff, t_max in (
+               ("12", "inf"), ("14", "nan"), ("14", "1"))),
+        ["det", "--group", "nope", "--cutoff", "14", "--t-max", "nan"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]
@@ -694,17 +713,16 @@ class TestLayersRun:
         (["--help"], set()),
         (["spectrum", *SPHERE, "--max-length", "6"], {"fuchsian"}),
         (["trace", *SPHERE, "--max-length", "6", "--t", "0.5"],
-         {"specfun", "cusp_model", "fuchsian", "trace_terms"}),
+         {"specfun", "fuchsian", "trace_terms"}),
         (["det", *SPHERE, "--cutoff", "6", "--t-max", "2"],
-         {"specfun", "cusp_model", "fuchsian", "trace_terms",
-          "zeta_engine"}),
+         {"specfun", "fuchsian", "trace_terms", "zeta_engine"}),
         # zeta_engine binds trace_terms, but pinch-sweep's calls of it
         # never reach it
         (["pinch-sweep", *SPHERE, "--cutoff", "6", "--ell-num", "3"],
          {"specfun", "fuchsian", "zeta_engine", "degeneration"}),
         (["scatter-check", "--model", "{model}", "--t", "1"],
-         {"specfun", "trace_terms"}),
-        (["selfcheck"], {"specfun", "cusp_model", "dtn_cusp", "trace_terms",
+         {"specfun", "cusp_model"}),
+        (["selfcheck"], {"specfun", "cusp_model", "trace_terms",
                          "zeta_engine", "degeneration"}),
     ]
 

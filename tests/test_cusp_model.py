@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cuspspec import specfun
-from cuspspec.cusp_model import CuspFamily, cusp_heat_kernel
+from cuspspec.cusp_model import cusp_heat_kernel
 from cuspspec.errors import DomainError
-from cuspspec.trace_terms import cut_height_term
+from cuspspec.trace_terms import CuspFamily, cut_height_term
 
 
 def _trace_by_quadrature(a, t):

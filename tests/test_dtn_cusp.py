@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cuspspec.dtn_cusp import n2_symbol, n2_zero_symbol
+from cuspspec.cusp_model import n2_symbol, n2_zero_symbol
 from cuspspec.errors import DomainError
 
 

@@ -6,7 +6,13 @@ import pytest
 
 from conftest import CUSP_TERM_LADDER
 from cuspspec import trace_terms
-from cuspspec.cusp_model import CuspFamily
+from cuspspec.cusp_model import (
+    ScatteringModel,
+    model_from_json,
+    phi_log_deriv,
+    scattering_erfc_sum,
+    scattering_integral,
+)
 from cuspspec.errors import DomainError, PoleError
 from cuspspec.fuchsian import (
     LengthSpectrum,
@@ -16,18 +22,14 @@ from cuspspec.fuchsian import (
 )
 from cuspspec.trace_terms import (
     P_EXPANSION,
-    ScatteringModel,
+    CuspFamily,
     cusp_term,
     cut_height_term,
     expansion_value,
     hyperbolic_trace,
     identity_term,
-    model_from_json,
     parabolic_p,
-    phi_log_deriv,
     relative_heat_trace,
-    scattering_erfc_sum,
-    scattering_integral,
 )
 
 
@@ -111,6 +113,13 @@ class TestScatteringModel:
          "resonances": [{"re": -0.3, "im": 0.0, "order": math.inf}]},
         [2.0],
         {"q": 2.0, "resonances": [{"re": -0.3, "im": 0.0, "order": "x"}]},
+        # a JSON boolean is no number, though Python reads true as 1
+        {"q": True, "resonances": [{"re": -0.3, "im": 1.0, "order": True},
+                                   {"re": -0.3, "im": -1.0, "order": True}]},
+        *({"q": 2.0, "resonances": [dict({"re": -0.3, "im": 0.0,
+                                          "order": 1}, **{key: flag})]}
+          for key in ("re", "im", "order") for flag in (True, False)),
+        {"q": False, "resonances": []},
     ])
     def test_malformed_json_refused(self, obj):
         with pytest.raises(DomainError):

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import CUSP_TERM_LADDER, engine_cusp_constant
 from cuspspec import zeta_engine
-from cuspspec.cusp_model import CuspFamily
 from cuspspec.errors import (
     DomainError,
     ExpansionMismatchError,
@@ -20,6 +19,7 @@ from cuspspec.errors import (
 )
 from cuspspec.fuchsian import builtin_group, enumerate_length_spectrum
 from cuspspec.trace_terms import (
+    CuspFamily,
     cusp_term,
     cut_height_term,
     expansion_value,

@@ -5,7 +5,8 @@ Usage: python tools/same_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are directories that hold a `cuspspec` package (the
 `src/` of two checkouts).  Each argv of ARGVS runs as a fresh
 `python -m cuspspec.cli` process on each tree, in one scratch directory
-that also holds the scatter-check model file and two --config files.
+that also holds the two scatter-check model files and two --config
+files.
 Every argv whose stdout, stderr or exit code differs is printed; the
 exit code is 1 if any does.
 """
@@ -20,6 +21,11 @@ SPHERE = ["--group", "thrice-punctured-sphere"]
 MODEL = {"q": 2.0, "phi_half": 1.0,
          "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
                         {"re": -0.3, "im": -1.0, "order": 1}]}
+# the conjugate pair and a real resonance of order 2
+MODEL2 = {"q": 3.0,
+          "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
+                         {"re": -0.3, "im": -1.0, "order": 1},
+                         {"re": -0.7, "im": 0.0, "order": 2}]}
 CONFIG = {"t_max": 10.0, "eps_trunc": 0.1}
 # a --config key that is no option of any subcommand
 UNKNOWN_CONFIG = {"t_max": 10.0, "cut_off": 12}
@@ -84,6 +90,13 @@ ARGVS = [
     # a deep walk on non-integer entries
     ["spectrum", "--group", "once-punctured-torus(40.0)", "--max-length", "8",
      "--word-radius", "14"],
+    # the scattering identity from its lower to its upper end of t
+    ["scatter-check", "--model", "model2.json", "--t",
+     "1e-20,1e-6,0.05,1,40,3000"],
+    # t-max values the engine refuses, refused before the walk
+    *(["det", *SPHERE, "--cutoff", cutoff, "--t-max", t_max]
+      for cutoff, t_max in (("12", "inf"), ("14", "nan"), ("14", "1"))),
+    ["det", "--group", "nope", "--cutoff", "14", "--t-max", "nan"],
 ]
 
 
@@ -100,7 +113,8 @@ def main():
     old, new = sys.argv[1:]
     differ = 0
     with tempfile.TemporaryDirectory() as cwd:
-        for name, obj in (("model.json", MODEL), ("config.json", CONFIG),
+        for name, obj in (("model.json", MODEL), ("model2.json", MODEL2),
+                          ("config.json", CONFIG),
                           ("unknown.json", UNKNOWN_CONFIG)):
             with open(os.path.join(cwd, name), "w") as fh:
                 json.dump(obj, fh)
