@@ -10,7 +10,6 @@ non-convergence, 4 I/O failure.
 
 import argparse
 import atexit
-import dataclasses
 import gc
 import importlib.util
 import json
@@ -21,26 +20,34 @@ import sys
 # no command does BLAS-sized work (2x2 matrices): no idle worker thread
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import __version__
 from .errors import DomainError, NumericsError, PreconditionError
 
 
-def _layer(name):
-    """The layer module cuspspec.<name>, in sys.modules under that name
-    (the benchmark shim reads it there) but compiled and run only on its
-    first attribute access; a module already imported is reused."""
-    full = "%s.%s" % (__package__, name)
+def _lazy(full):
+    """The module named full, in sys.modules under that name (the
+    benchmark shim reads the layers there) but compiled and run only on
+    its first attribute access; a module already imported is reused."""
     if full not in sys.modules:
         spec = importlib.util.find_spec(full)
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = importlib.util.module_from_spec(spec)
         sys.modules[full] = module
         spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
     return sys.modules[full]
 
+
+def _layer(name):
+    """The layer module cuspspec.<name>, also bound on the package."""
+    module = _lazy("%s.%s" % (__package__, name))
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# no source of numpy or dataclasses runs for `--help` or a bare import:
+# a command's first layer runs them
+np = _lazy("numpy")
+dataclasses = _lazy("dataclasses")
 
 # the layers in package order: each imports only layers before it
 LAYERS = ("specfun", "cusp_model", "fuchsian", "trace_terms", "zeta_engine",

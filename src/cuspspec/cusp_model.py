@@ -173,7 +173,8 @@ def scattering_integral(model, t):
                 * np.real(phi_log_deriv(model, 0.5 + 1j * lam)))
 
     half = specfun.integrate(f, 0.0, np.inf, spec=SCATTERING_SPEC).value
-    return -1.0 / (4.0 * math.pi) * 2.0 * half
+    # + 0.0: an integral that underflows to zero is +0, not -0
+    return -1.0 / (4.0 * math.pi) * 2.0 * half + 0.0
 
 
 def scattering_erfc_sum(model, t):

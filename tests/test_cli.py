@@ -275,6 +275,18 @@ class TestScatterCheckCommand:
         resid = [float(ln.split(",")[3]) for ln in data[1:]]
         assert max(resid) <= 1e-6
 
+    def test_vanished_integral_is_positive_zero(self, tmp_path):
+        # at t = 3000 both sides underflow to zero; a "-0" cell would
+        # read as a sign the integral does not have
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(
+            {"q": 3.0, "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
+                                      {"re": -0.3, "im": -1.0, "order": 1},
+                                      {"re": -0.7, "im": 0.0, "order": 2}]}))
+        out = run_cli("scatter-check", "--model", str(p), "--t", "3000")
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[-1] == "3000,0,0,0"
+
 
 class TestPinchSweepCommand:
     def test_csv_round_trips(self):
@@ -681,9 +693,11 @@ class TestProcessExit:
     @pytest.mark.parametrize("preset,value", [(None, "1"), ("2", "2")])
     def test_one_blas_thread(self, preset, value):
         # importing the CLI sets OPENBLAS_NUM_THREADS=1 before numpy
-        # loads, unless the caller set it, so OpenBLAS starts no worker
-        probe = ("import os, cuspspec.cli; print(len(os.listdir("
-                 "'/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+        # loads, unless the caller set it, so OpenBLAS starts no worker;
+        # numpy loads on first use, here after the CLI's import
+        probe = ("import os, cuspspec.cli; cuspspec.cli.np.zeros; "
+                 "print(len(os.listdir('/proc/self/task')), "
+                 "os.environ['OPENBLAS_NUM_THREADS'])")
         env = dict(os.environ)
         env.pop("OPENBLAS_NUM_THREADS", None)
         if preset is not None:
@@ -773,6 +787,39 @@ class TestLayersRun:
         out = subprocess.run([sys.executable, "-c", probe],
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.split() == ["True"] * 3
+
+    def test_import_and_help_run_no_numpy(self):
+        # numpy and dataclasses (which imports inspect) are bound but
+        # their source has not run
+        probe = ("import contextlib, io, sys\n"
+                 "from cuspspec import cli\n"
+                 "def unrun():\n"
+                 "    return not {'numpy._core', 'inspect'} & set(sys.modules)\n"
+                 "print(unrun())\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    try:\n"
+                 "        cli.main(['--help'])\n"
+                 "    except SystemExit as exc:\n"
+                 "        code = exc.code\n"
+                 "print(code == 0 and unrun())")
+        out = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["True"] * 2
+
+    @pytest.mark.parametrize("numpy_first", [True, False])
+    def test_numpy_before_or_after_cli_stays_one_object(self, numpy_first):
+        # one numpy, fully run, whichever of it and the CLI comes first
+        imports = ["import numpy", "from cuspspec import cli"]
+        probe = "\n".join([
+            "import sys, types",
+            *(imports if numpy_first else imports[::-1]),
+            "print(cli.np is numpy is sys.modules['numpy'],"
+            " type(numpy) is types.ModuleType,"
+            " 'numpy._core' in sys.modules,"
+            " cli.np.zeros(2).tolist() == [0.0, 0.0])"])
+        out = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["True"] * 4
 
 
 # zero, negatives, NaN, the infinities, the smallest subnormal and huge
