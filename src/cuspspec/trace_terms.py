@@ -47,9 +47,11 @@ def expansion_value(terms, t):
 
 
 # Every trace term takes t as a scalar or an array: a scalar returns a
-# float, an array returns an array of the same shape.
+# float, an array returns an array of the same shape.  The value at each
+# t is the same, bit for bit, whatever other t share the call.
 
-# elements per block of the ragged (row, k) sums below
+# elements per block of the ragged (row, k) sums below, and about the
+# (class, k) pairs per x-window of the geodesic sum
 _BLOCK = 1 << 18
 
 
@@ -75,15 +77,22 @@ def _shaped(values, shape):
     return float(values[0]) if shape == () else values.reshape(shape)
 
 
-def _ragged_blocks(counts, block=_BLOCK):
-    """Yield (row, k) index arrays of at most `block` entries that
-    together run through k = 1..counts[row] for every row."""
+def _ragged_blocks(counts):
+    """Yield (row, k) index arrays that together run through
+    k = 1..counts[row] for every row, a block of whole rows at a time:
+    as many as fit in _BLOCK entries, or one longer row alone (P(t)'s
+    rows have at most 12/sqrt(3e-7) + 10 entries, fewer than _BLOCK).
+    So no other row decides where a row's sum is split."""
     ends = np.cumsum(counts)
-    starts = ends - counts
-    for lo in range(0, int(ends[-1]), block):
-        pos = np.arange(lo, min(lo + block, int(ends[-1])))
-        row = np.searchsorted(ends, pos, side="right")
-        yield row, pos - starts[row] + 1
+    lo = 0
+    while lo < counts.size:
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - counts[lo] + _BLOCK, side="right")))
+        size = counts[lo:hi]
+        row = np.repeat(np.arange(lo, hi), size)
+        yield row, np.arange(1, row.size + 1) - np.repeat(
+            np.cumsum(size) - size, size)
+        lo = hi
 
 
 # int_0^inf e^{-t lam^2} lam/(e^{2 pi lam} + 1) dlam on one composite
@@ -95,9 +104,9 @@ _FERMI_EDGES = (0.0, 0.04, 0.08, 0.13, 0.2, 0.3, 0.45, 0.65, 0.9, 1.2,
 _FERMI_LAM, _FERMI_W = specfun.kronrod_grid(_FERMI_EDGES)
 _FERMI_W = _FERMI_W * _FERMI_LAM / (np.exp(2.0 * math.pi * _FERMI_LAM) + 1.0)
 _FERMI_LAM2 = _FERMI_LAM * _FERMI_LAM
-# t rows per (t, lam) product in identity_term, which bounds its buffer;
-# 64 or 4096 rows give one product's bits, 1, 3, 7 or 333 do not
-_FERMI_ROWS = 4096
+# t rows per (t, lam) block in identity_term, which bounds its buffer;
+# each row is summed on its own, so the block size moves no bit
+_FERMI_ROWS = 64
 
 
 def identity_term(area, t):
@@ -106,14 +115,14 @@ def identity_term(area, t):
     With tanh(pi lam) = 1 - 2/(e^{2 pi lam} + 1) this is
     (area/4pi) e^{-t/4} [1/t - 4 int_0^inf e^{-t lam^2} lam/(e^{2 pi lam}+1)
     dlam]; the remaining integral decays like e^{-2 pi lam} and runs on
-    the fixed grid above.
+    the fixed grid above, one row of the grid per t, summed on its own.
     """
     if not (math.isfinite(area) and area > 0.0):
         raise DomainError("identity_term requires finite area > 0")
     t, shape = _t_array(t, "identity_term")
     fermi = np.concatenate([
-        np.exp(-np.multiply.outer(t[i:i + _FERMI_ROWS], _FERMI_LAM2))
-        @ _FERMI_W for i in range(0, t.size, _FERMI_ROWS)])
+        (np.exp(-np.multiply.outer(t[i:i + _FERMI_ROWS], _FERMI_LAM2))
+         * _FERMI_W).sum(axis=1) for i in range(0, t.size, _FERMI_ROWS)])
     out = area / (4.0 * math.pi) * np.exp(-t / 4.0) * (1.0 / t - 4.0 * fermi)
     return _shaped(out, shape)
 
@@ -122,32 +131,73 @@ def hyperbolic_trace(spectrum, t):
     """Geodesic sum e^{-t/4}/sqrt(16 pi t) * sum_k sum_gamma
     mult * l / sinh(k l / 2) * e^{-(k l)^2 / 4t}.
 
-    The k-sum is cut where the Gaussian factor at the largest t
-    certifies a relative tail below 1e-18; for short geodesics with
-    tiny l this pushes k far out, so terms are evaluated in the
-    overflow-safe form 2 l e^{-k l/2} / (1 - e^{-k l}).  The weights
-    mult * 2 l / (1 - e^{-k l}) of every (class, k) pair are contracted
-    against e^{-k l/2 - (k l)^2/4t} in blocks of bounded size.
+    Each t is cut on its own.  With x = k l and c(t) = 2 sqrt(43 log(10)
+    min(t, 3000)), the Gaussian factor certifies a relative tail below
+    1e-18 beyond x = c(t) (beyond t = 3000 the prefactor e^{-t/4} is
+    zero in double precision), so t sums every (class, k) pair with
+    x <= c(t), and the k = 1 term of each class longer than c(t), which
+    is all that is left at small t.  Terms are evaluated in the
+    overflow-safe form 2 l e^{-x/2} / (1 - e^{-x}), since c(t)/l is
+    large for a short geodesic.  The pairs are built in x-windows that
+    the spectrum alone fixes, about _BLOCK pairs each, and sorted by x
+    in each; at each t the weights mult * 2 l / (1 - e^{-x}) of a
+    window's prefix x <= c(t) are contracted against
+    e^{-x/2 - x^2/4t} in one dot, and the window totals added in order,
+    so the value at t does not depend on the other t of the call.
     """
     t, shape = _t_array(t, "hyperbolic_trace")
     ell, mult = spectrum.length_arrays
     total = np.zeros_like(t)
     if ell.size:
-        # (k_max * ell)^2 / 4t >= 43 log(10) certifies the Gaussian tail;
-        # beyond t = 3000 the prefactor e^{-t/4} is zero in double precision
-        t_top = min(float(t.max()), 3000.0)
-        k_max = np.ceil(2.0 * math.sqrt(43.0 * math.log(10.0) * t_top)
-                        / ell).astype(np.int64) + 1
-        four_t = (4.0 * t)[:, None]
-        for row, k in _ragged_blocks(k_max, max(1, _BLOCK // t.size)):
-            x = k * ell[row]
-            w = mult[row] * 2.0 * ell[row] / (-np.expm1(-x))
-            # -x/2 - x^2/4t and its exp in one (t, pair) buffer
-            e = np.divide(x * x, four_t)
-            np.subtract(-0.5 * x, e, out=e)
-            total += np.exp(e, out=e) @ w
+        cut = 2.0 * np.sqrt(43.0 * math.log(10.0) * np.minimum(t, 3000.0))
+        top = cut.max()
+        coef = mult * 2.0 * ell
+        # window j is [j width, (j + 1) width): the mean count of pairs
+        # in a window is sum(width / l) = _BLOCK
+        width = _BLOCK / np.sum(1.0 / ell)
+        lo, j = 0.0, 0
+        while lo <= top:
+            hi = (j + 1) * width
+            x, w = _geodesic_window(ell, coef, lo, hi, top)
+            _contract(x, w, t, cut, total, tail=False)
+            lo, j = hi, j + 1
+        # the k = 1 term of each class longer than c(t)
+        _contract(ell, coef / -np.expm1(-ell), t, cut, total, tail=True)
     out = np.exp(-t / 4.0) / np.sqrt(16.0 * math.pi * t) * total
     return _shaped(out, shape)
+
+
+def _geodesic_window(ell, coef, lo, hi, top):
+    """x = k l and weights coef / (1 - e^{-x}) of the (class, k) pairs
+    with lo <= x < hi and x <= top, sorted by x (ties in class and k
+    order)."""
+    end = min(hi, top)
+    m = int(np.searchsorted(ell, end, side="right"))
+    k_lo = np.maximum(np.floor(lo / ell[:m]), 1.0)
+    size = (np.floor(end / ell[:m]) + 2.0 - k_lo).astype(np.int64)
+    x = np.arange(float(size.sum())) + np.repeat(
+        k_lo - (np.cumsum(size) - size), size)
+    x *= np.repeat(ell[:m], size)
+    keep = (x >= lo) & (x < hi) & (x <= top)
+    x, w = x[keep], np.repeat(coef[:m], size)[keep]
+    order = np.argsort(x, kind="stable")
+    x, w = x[order], w[order]
+    w /= -np.expm1(-x)
+    return x, w
+
+
+def _contract(x, w, t, cut, total, tail):
+    """Add to total[i] the dot of w against e^{-x/2 - x^2/4t_i} over
+    x <= cut[i] (over x > cut[i] if tail), x sorted."""
+    half, sq = -0.5 * x, x * x
+    ends = np.searchsorted(x, cut, side="right").tolist()
+    for i, (n, four_t) in enumerate(zip(ends, (4.0 * t).tolist())):
+        part = slice(n, None) if tail else slice(n)
+        if n == (x.size if tail else 0):
+            continue
+        e = np.divide(sq[part], four_t)
+        np.subtract(half[part], e, out=e)
+        total[i] += np.exp(e, out=e) @ w[part]
 
 
 # Asymptotic series erfcx(x) ~ (1/(x sqrt(pi))) sum_m c_m x^{-2m},

@@ -189,6 +189,17 @@ class TestTraceCommand:
         assert [float(r["relative_trace"])
                 for r in csv_records(out.stdout)] == list(theta)
 
+    def test_row_independent_of_the_t_list(self):
+        # every column at a t is computed from that t alone
+        rows = []
+        for ts in ("2", "1,2,8"):
+            out = run_cli("trace", "--group", "once-punctured-torus(3.47)",
+                          "--max-length", "12", "--t", ts)
+            assert out.returncode == 0
+            rows.append([r for r in csv_records(out.stdout)
+                         if r["t"] == "2"])
+        assert len(rows[0]) == 1 and rows[0] == rows[1]
+
 
 class TestDetCommand:
     def test_positive_determinant(self):

@@ -1,8 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import CUSP_TERM_LADDER
 from cuspspec import trace_terms
@@ -54,6 +57,12 @@ def _shortened(spec, ell):
     first = spec.entries[0]
     return LengthSpectrum((SpectrumEntry(ell, first.mult),) + spec.entries[1:],
                           spec.cutoff, spec.surface)
+
+
+def _tiny_length_spectrum():
+    """The sphere's length-6 spectrum with its shortest class at 1e-6."""
+    return _shortened(enumerate_length_spectrum(
+        builtin_group("thrice-punctured-sphere"), 6.0, 6), 1e-6)
 
 
 class TestScatteringModel:
@@ -231,17 +240,6 @@ class TestIdentityTerm:
                 * lam * mp.tanh(mp.pi * lam), points)
         assert abs(identity_term(area, t) - ref) <= 1e-13 * abs(ref)
 
-    def test_chunked_contraction_bit_for_bit(self):
-        # identity_term contracts t against the Fermi grid a block of
-        # rows at a time; on 10 000 t values (three blocks, the last one
-        # partial) it must give the single product's bits
-        t = np.geomspace(1e-6, 3000.0, 10_000)
-        assert t.size > 2 * trace_terms._FERMI_ROWS
-        fermi = (np.exp(-np.multiply.outer(t, trace_terms._FERMI_LAM2))
-                 @ trace_terms._FERMI_W)
-        ref = 0.5 * np.exp(-t / 4.0) * (1.0 / t - 4.0 * fermi)
-        assert np.array_equal(identity_term(2.0 * math.pi, t), ref)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             identity_term(-1.0, 1.0)
@@ -266,10 +264,61 @@ class TestHyperbolicTrace:
         assert abs(hyperbolic_trace(spec, t) - direct) < 1e-14
 
     def test_tiny_length_no_overflow(self):
-        g = builtin_group("thrice-punctured-sphere")
-        spec = _shortened(enumerate_length_spectrum(g, 6.0, 6), 1e-6)
-        v = hyperbolic_trace(spec, 0.5)
+        v = hyperbolic_trace(_tiny_length_spectrum(), 0.5)
         assert math.isfinite(v) and v > 0.0
+
+    def test_tiny_length_matches_fsum(self):
+        # 1.4e7 (class, k) pairs at t = 0.5, summed in windows, against
+        # the correctly rounded sum of the same terms, taken a chunk of
+        # k at a time; k runs one step past the Gaussian cut, whose
+        # terms are below 1e-43 relative
+        spec, t = _tiny_length_spectrum(), 0.5
+        cut = 2.0 * math.sqrt(43.0 * math.log(10.0) * t)
+
+        def terms():
+            for e in spec.entries:
+                k_max = int(cut / e.length) + 1
+                for k0 in range(1, k_max + 1, 1 << 20):
+                    x = np.arange(k0, min(k0 + (1 << 20), k_max + 1)) \
+                        * e.length
+                    yield (e.mult * e.length / np.sinh(x / 2.0)
+                           * np.exp(-x * x / (4.0 * t))).tolist()
+
+        ref = (math.fsum(itertools.chain.from_iterable(terms()))
+               * math.exp(-t / 4.0) / math.sqrt(16.0 * math.pi * t))
+        assert abs(hyperbolic_trace(spec, t) - ref) <= 1e-14 * ref
+
+    def test_leading_term_at_small_t(self):
+        # at t = 1e-3 every class is longer than the Gaussian cut, and
+        # each keeps its k = 1 term: the column is 3.8e-297, not 0
+        spec = enumerate_length_spectrum(
+            builtin_group("once-punctured-torus(3.2)"), 10.0, 10)
+        ref = 3.8159717755763392e-297
+        for ts in (1e-3, np.array([1e-6, 1e-5, 1e-4, 1e-3])):
+            v = np.ravel(hyperbolic_trace(spec, ts))[-1]
+            assert abs(v - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("spec, ts", [
+        ("tiny", [0.5]),
+        ("torus4000", [3000.0]),
+        ("torus4000", [0.01, 1.0, 10.0, 100.0, 1000.0, 3000.0])])
+    def test_memory_bounded(self, spec, ts):
+        # the pairs are built a window at a time, never as one table or
+        # a (t, pairs) rectangle: the torus(4000) curve of length 1e-3
+        # has 1.1e6 pairs at t = 3000
+        if spec == "tiny":
+            spec = _tiny_length_spectrum()
+        else:
+            spec = enumerate_length_spectrum(
+                builtin_group("once-punctured-torus(4000)"), 6.0, 4)
+        spec.length_arrays
+        tracemalloc.start()
+        try:
+            hyperbolic_trace(spec, np.array(ts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
 
 class TestParabolicP:
@@ -415,6 +464,33 @@ class TestArrayContract:
     def test_empty_t_refused(self):
         with pytest.raises(DomainError):
             parabolic_p(np.array([]))
+
+
+_BATCH_SPECTRUM = enumerate_length_spectrum(
+    builtin_group("once-punctured-torus(3.47)"), 8.0, 8)
+_BATCH_TERMS = (
+    lambda t: identity_term(2.0 * math.pi, t),
+    lambda t: hyperbolic_trace(_BATCH_SPECTRUM, t),
+    parabolic_p,
+    lambda t: relative_heat_trace(_BATCH_SPECTRUM, CuspFamily((1.5,)), t))
+_BATCH_RNG = np.random.default_rng(27)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.one_of(st.floats(3e-7, 1e-3), st.floats(1e-3, 60.0),
+                          st.floats(60.0, 3000.0)),
+                min_size=2, max_size=40))
+@example(_BATCH_RNG.uniform(1e-3, 60.0, 3000).tolist())
+# P(t)'s direct sums run to 8.5e3-2.2e4 terms a t here, about 3.6e6 in
+# all: 14 blocks of 2^18 elements
+@example(_BATCH_RNG.uniform(3e-7, 2e-6, 300).tolist())
+def test_batch_matches_single_t(ts):
+    # the value at each t is bit for bit the single-t call's, whatever
+    # other t share the call and in whatever order
+    ts = np.array(ts)
+    for fn in _BATCH_TERMS:
+        single = np.array([fn(t) for t in ts.tolist()])
+        assert np.array_equal(fn(ts).view(np.int64), single.view(np.int64))
 
 
 class TestRelativeHeatTrace:

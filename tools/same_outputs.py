@@ -97,6 +97,12 @@ ARGVS = [
     *(["det", *SPHERE, "--cutoff", cutoff, "--t-max", t_max]
       for cutoff, t_max in (("12", "inf"), ("14", "nan"), ("14", "1"))),
     ["det", "--group", "nope", "--cutoff", "14", "--t-max", "nan"],
+    # each row computed from its t alone: the t = 2 row is the same in
+    # both lists; and a curve of length 1e-3 summed to t = 3000
+    *(["trace", "--group", "once-punctured-torus(3.47)", "--max-length", "12",
+       "--t", ts] for ts in ("2", "1,2,8")),
+    ["trace", "--group", "once-punctured-torus(4000)", "--max-length", "6",
+     "--word-radius", "4", "--t", "3000"],
 ]
 
 
