@@ -131,25 +131,25 @@ def hyperbolic_trace(spectrum, t):
     """Geodesic sum e^{-t/4}/sqrt(16 pi t) * sum_k sum_gamma
     mult * l / sinh(k l / 2) * e^{-(k l)^2 / 4t}.
 
-    Each t is cut on its own.  With x = k l and c(t) = 2 sqrt(43 log(10)
-    min(t, 3000)), the Gaussian factor certifies a relative tail below
-    1e-18 beyond x = c(t) (beyond t = 3000 the prefactor e^{-t/4} is
-    zero in double precision), so t sums every (class, k) pair with
-    x <= c(t), and the k = 1 term of each class longer than c(t), which
-    is all that is left at small t.  Terms are evaluated in the
-    overflow-safe form 2 l e^{-x/2} / (1 - e^{-x}), since c(t)/l is
-    large for a short geodesic.  The pairs are built in x-windows that
-    the spectrum alone fixes, about _BLOCK pairs each, and sorted by x
-    in each; at each t the weights mult * 2 l / (1 - e^{-x}) of a
-    window's prefix x <= c(t) are contracted against
-    e^{-x/2 - x^2/4t} in one dot, and the window totals added in order,
-    so the value at t does not depend on the other t of the call.
+    One cut per t: with x = k l, l_1 the shortest length and
+    c(t)^2 = 172 log(10) min(t, 3000), t sums exactly the (class, k)
+    pairs with x^2 <= l_1^2 + c(t)^2, beyond which the Gaussian factor is
+    below 1e-43 of the leading pair's (l_1, k = 1); beyond t = 3000 the
+    prefactor e^{-t/4} is 0 in double.  Terms take the overflow-safe form
+    2 l e^{-x/2} / (1 - e^{-x}).  The pairs are built in x-windows that
+    the spectrum alone fixes, about _BLOCK pairs each, sorted by x; at
+    each t every window's prefix within the cut is contracted in one dot
+    and the window totals added in order, so the value at t does not
+    depend on the other t of the call.
     """
     t, shape = _t_array(t, "hyperbolic_trace")
     ell, mult = spectrum.length_arrays
     total = np.zeros_like(t)
     if ell.size:
-        cut = 2.0 * np.sqrt(43.0 * math.log(10.0) * np.minimum(t, 3000.0))
+        cut = np.minimum(t, 3000.0)
+        cut *= 172.0 * math.log(10.0)
+        cut += ell[0] * ell[0]
+        np.sqrt(cut, out=cut)
         top = cut.max()
         coef = mult * 2.0 * ell
         # window j is [j width, (j + 1) width): the mean count of pairs
@@ -159,10 +159,8 @@ def hyperbolic_trace(spectrum, t):
         while lo <= top:
             hi = (j + 1) * width
             x, w = _geodesic_window(ell, coef, lo, hi, top)
-            _contract(x, w, t, cut, total, tail=False)
+            _contract(x, w, t, cut, total)
             lo, j = hi, j + 1
-        # the k = 1 term of each class longer than c(t)
-        _contract(ell, coef / -np.expm1(-ell), t, cut, total, tail=True)
     out = np.exp(-t / 4.0) / np.sqrt(16.0 * math.pi * t) * total
     return _shaped(out, shape)
 
@@ -186,18 +184,16 @@ def _geodesic_window(ell, coef, lo, hi, top):
     return x, w
 
 
-def _contract(x, w, t, cut, total, tail):
+def _contract(x, w, t, cut, total):
     """Add to total[i] the dot of w against e^{-x/2 - x^2/4t_i} over
-    x <= cut[i] (over x > cut[i] if tail), x sorted."""
+    x <= cut[i], x sorted."""
     half, sq = -0.5 * x, x * x
     ends = np.searchsorted(x, cut, side="right").tolist()
     for i, (n, four_t) in enumerate(zip(ends, (4.0 * t).tolist())):
-        part = slice(n, None) if tail else slice(n)
-        if n == (x.size if tail else 0):
-            continue
-        e = np.divide(sq[part], four_t)
-        np.subtract(half[part], e, out=e)
-        total[i] += np.exp(e, out=e) @ w[part]
+        if n:
+            e = np.divide(sq[:n], four_t)
+            np.subtract(half[:n], e, out=e)
+            total[i] += np.exp(e, out=e) @ w[:n]
 
 
 # Asymptotic series erfcx(x) ~ (1/(x sqrt(pi))) sum_m c_m x^{-2m},

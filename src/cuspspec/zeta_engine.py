@@ -54,7 +54,7 @@ class ZetaResult:
     large_t_error: float
 
     def __post_init__(self):
-        if self.small_t_error < 0 or self.large_t_error < 0:
+        if not (self.small_t_error >= 0 and self.large_t_error >= 0):
             raise DomainError("error estimates must be >= 0")
         det = (math.exp(-self.zeta_prime_zero)
                if -self.zeta_prime_zero <= _LOG_MAX_DOUBLE else math.inf)
@@ -80,13 +80,17 @@ _TAIL_POINTS = 8
 # rounding noise (the sphere's zeta'(0) reads -5.3623 at t_max = 1 + 2^-52
 # and -5.4665 from 1 + 1e-12 on)
 _TAIL_MIN_WIDTH = 1e-9
+# widest window: the tail fit sums the squares of its samples
+_TAIL_MAX_T = math.sqrt(sys.float_info.max / _TAIL_POINTS)
 
 
 def _check_window(t_max):
-    """Refuse a t_max that is not finite or below 1 + _TAIL_MIN_WIDTH."""
+    """Refuse a t_max outside [1 + _TAIL_MIN_WIDTH, _TAIL_MAX_T] or NaN."""
     if not (math.isfinite(t_max) and t_max - 1.0 >= _TAIL_MIN_WIDTH):
         raise DomainError("t_max must be finite and >= 1 + %g"
                           % _TAIL_MIN_WIDTH)
+    if t_max > _TAIL_MAX_T:
+        raise DomainError("t_max must be <= %.3g" % _TAIL_MAX_T)
 
 
 def _tail_estimate(theta, h, t_max, min_decay):
@@ -107,7 +111,7 @@ def _tail_estimate(theta, h, t_max, min_decay):
         return 0.0, bound
     logy = np.log(ay)
     slope, intercept = np.polyfit(ts, logy, 1)
-    mu = -slope
+    mu = 0.0 - slope  # a flat fit reads mu = 0, not -0
     if mu <= min_decay:
         raise TailFitError(
             "fitted large-t decay mu=%.4g is not above the required "
@@ -131,8 +135,8 @@ def mellin_zeta_prime0(theta, terms, h, t_max, min_decay=0.2):
     c t^alpha (log t)^k (trace_terms.expansion_value); their order and
     repeats do not matter, and the alpha = 0 terms may carry no log.
     h: large-t limit of theta (dimension of the kernel difference).
-    t_max: end of the numerically trusted window (finite, at least
-    1 + _TAIL_MIN_WIDTH).
+    t_max: end of the numerically trusted window, within
+    [1 + _TAIL_MIN_WIDTH, _TAIL_MAX_T].
     min_decay: lower bound demanded of the fitted tail decay rate.
     """
     _check_window(t_max)

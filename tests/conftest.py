@@ -88,6 +88,26 @@ def arithmetic_spectrum(name, max_length):
     return classes
 
 
+def markov_regions(x, y, z, cap):
+    """Traces X <= cap of the complementary regions of the Markov tree of
+    a once-punctured torus with trace triple (x, y, z), x^2 + y^2 + z^2 =
+    xyz: one per unoriented simple closed geodesic, of length
+    2 acosh(X/2).  (x, y, z) must be the root triple, where every Vieta
+    move (x, y, z) -> (x, y, xy - z) raises the trace; labels then rise
+    along every path away from it, so the cap prunes the tree exactly.
+    Each stack entry is the pair of regions an edge keeps and the label
+    it flips away."""
+    labels = [v for v in (x, y, z) if v <= cap]
+    stack = [((y, z), x), ((x, z), y), ((x, y), z)]
+    while stack:
+        (a, b), c = stack.pop()
+        new = a * b - c
+        if new <= cap:
+            labels.append(new)
+            stack += [((a, new), b), ((b, new), a)]
+    return labels
+
+
 _EULER_GAMMA = 0.5772156649015329
 _LOG2 = math.log(2.0)
 _SQRT_PI = math.sqrt(math.pi)

@@ -49,6 +49,10 @@ INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                    "%.6f" % (k * 1e-6)
                    for k in range(cli.MAX_ELL_NUM + 1, 0, -1))}),
                "{config-help}": json.dumps({"help": True}),
+               "{config-format-xml}": json.dumps({"format": "xml"}),
+               "{model-order-0}": json.dumps(
+                   {"q": 2.0, "resonances": [
+                       {"re": -0.3, "im": 0.0, "order": 0}]}),
                "{model-far-resonance}": json.dumps(
                    {"q": 2.0, "resonances": [
                        {"re": -1e160, "im": im, "order": 1}
@@ -550,6 +554,11 @@ class TestErrorChannel:
          "thrice-punctured-sphere", "--cutoff", "6"],
         # -h takes no default, so "help" names no option
         ["--config", "{config-help}", "selfcheck"],
+        # a --config value outside the option's choices, and a resonance
+        # of order 0
+        ["--config", "{config-format-xml}", "spectrum", "--group",
+         "thrice-punctured-sphere", "--max-length", "6"],
+        ["scatter-check", "--model", "{model-order-0}", "--t", "1"],
         # t-max values the engine refuses, refused before the walk with
         # its message, ahead of an unknown group
         *(["det", "--group", "thrice-punctured-sphere", "--cutoff", cutoff,
@@ -622,6 +631,37 @@ class TestErrorChannel:
         out = run_cli("spectrum", "--group", "thrice-punctured-sphere",
                       "--max-length", "5", "--out", "/nonexistent/dir/x.csv")
         assert out.returncode == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "8"],
+        ["spectrum", "--group", "thrice-punctured-sphere",
+         "--max-length", "8", "--format", "json"],
+        ["det", "--group", "thrice-punctured-sphere", "--cutoff", "8",
+         "--t-max", "4"],
+    ])
+    def test_output_path_written(self, argv, tmp_path):
+        # --out FILE holds the bytes the command prints to stdout
+        path = tmp_path / "out"
+        out = run_cli(*argv, "--out", str(path))
+        assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+        assert path.read_bytes() == run_cli(*argv).stdout.encode()
+
+    @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+    @pytest.mark.parametrize("t_max", ["1e153", "1e155"])
+    def test_huge_t_max_refused_cleanly(self, flags, t_max):
+        # a t-max whose tail fit would square samples past the largest
+        # double is refused by the window check, before the walk; below
+        # it the flat fit is refused with its decay, which reads 0, not -0
+        out = subprocess.run(
+            [sys.executable, *flags, "-m", "cuspspec.cli", "det", "--group",
+             "thrice-punctured-sphere", "--cutoff", "1e200", "--t-max", t_max,
+             "--word-radius", "3"],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode in (2, 3) and out.stdout == ""
+        err = json.loads(out.stderr)
+        assert err["error"] in ("DomainError", "TailFitError")
+        assert "-0" not in err["message"]
 
 
 class TestProcessExit:

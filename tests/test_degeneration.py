@@ -88,6 +88,8 @@ class TestPinchSweep:
             pinch_sweep(spec, [0], [-0.1], 0.0)
         with pytest.raises(DomainError):
             pinch_sweep(spec, [99], [0.1], 0.0)
+        with pytest.raises(DomainError, match="empty"):
+            pinch_sweep(spec, [0], [], 0.0)
 
     def test_subnormal_eigenvalue_refused(self):
         # ell^2 below the least normal double loses digits in its log

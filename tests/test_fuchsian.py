@@ -7,9 +7,10 @@ import math
 import tracemalloc
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from conftest import _mul, arithmetic_spectrum
+from conftest import _mul, arithmetic_spectrum, markov_regions
 from cuspspec import fuchsian
 from cuspspec.errors import (
     BudgetExceededError,
@@ -223,6 +224,47 @@ class TestBuiltinGroups:
             builtin_group("modular-something")
         with pytest.raises(UnknownGroupError):
             builtin_group("once-punctured-torus(abc)")
+
+    def test_presentation_needs_generators(self):
+        with pytest.raises(DomainError):
+            GroupPresentation(())
+
+
+def _torus_triple(tau):
+    """builtin_group's root trace triple (tau, tau, z) of a torus."""
+    return tau, tau, 4.0 * tau / (tau + math.sqrt(tau * tau - 8.0))
+
+
+class TestMcShane:
+    @pytest.mark.parametrize("tau", [2.9, 3.0, 3.47, 10.0, 40.0, 1000.0])
+    def test_identity_on_the_tree(self, tau):
+        # sum 1/(1 + e^l) = 1/2 over the simple closed geodesics, from the
+        # trace triple alone; the regions beyond L = 60 add about 60 e^-60.
+        # 1/(1 + e^l) = (1 - sqrt(1 - 4/X^2))/2 is summed in its form
+        # without cancellation (the naive one reads 1.4e-13 at tau = 1000)
+        x = np.array(markov_regions(*_torus_triple(tau),
+                                    2.0 * math.cosh(30.0)))
+        q = 4.0 / (x * x)
+        total = math.fsum((q / 2.0 / (1.0 + np.sqrt(1.0 - q))).tolist())
+        assert abs(total - 0.5) <= 1e-13
+
+    @pytest.mark.parametrize("tau, radius, lengths", [(3.0, 12, 7),
+                                                      (3.47, 16, 21)])
+    def test_walk_lists_every_simple_class(self, tau, radius, lengths):
+        # each region below length 12 is one unoriented simple geodesic,
+        # so two classes (g and g^-1) in the walk; a non-simple class of
+        # the same length may add more.  At radius 12, torus(3.47) lacks
+        # the classes of two simple lengths from 10.267 on
+        simple = [2.0 * math.acosh(x / 2.0) for x in markov_regions(
+            *_torus_triple(tau), 2.0 * math.cosh(6.0))]
+        spec = enumerate_length_spectrum(
+            builtin_group("once-punctured-torus(%r)" % tau), 12.0, radius)
+        near = fuchsian.MERGE_TOL
+        assert len({round(ell, 6) for ell in simple}) == lengths
+        for ell in simple:
+            regions = sum(abs(s - ell) <= near for s in simple)
+            assert sum(e.mult for e in spec.entries
+                       if abs(e.length - ell) <= near) >= 2 * regions, ell
 
 
 class TestEnumeration:

@@ -67,6 +67,12 @@ class TestIntegrate:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
+        with pytest.raises(DomainError):
+            QuadratureSpec(max_subdivisions=0)
+
+    def test_empty_interval(self):
+        res = specfun.integrate(lambda x: np.exp(-x * x), 1.0, 1.0)
+        assert (res.value, res.error) == (0.0, 0.0)
 
     @pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (2.0, 1.0),
                                       (0.0, np.nan)])
@@ -267,6 +273,9 @@ class TestBesselK:
     def test_nonpositive_argument_rejected(self):
         with pytest.raises(DomainError):
             specfun.bessel_k_scaled(0.5, 0.0)
+        # and an order past the recurrence's bound of 50
+        with pytest.raises(DomainError):
+            specfun.bessel_k_scaled(51.0, 3.0)
         with pytest.raises(DomainError):
             specfun.bessel_k_scaled(0.5, -1.0)
 

@@ -289,14 +289,42 @@ class TestHyperbolicTrace:
         assert abs(hyperbolic_trace(spec, t) - ref) <= 1e-14 * ref
 
     def test_leading_term_at_small_t(self):
-        # at t = 1e-3 every class is longer than the Gaussian cut, and
-        # each keeps its k = 1 term: the column is 3.8e-297, not 0
+        # at t = 1e-3 every class is longer than c(t), and the cut
+        # x^2 <= l_1^2 + c(t)^2 still keeps the leading pair (l_1, k = 1):
+        # the column is 3.8e-297, not 0
         spec = enumerate_length_spectrum(
             builtin_group("once-punctured-torus(3.2)"), 10.0, 10)
         ref = 3.8159717755763392e-297
         for ts in (1e-3, np.array([1e-6, 1e-5, 1e-4, 1e-3])):
             v = np.ravel(hyperbolic_trace(spec, ts))[-1]
             assert abs(v - ref) <= 1e-14 * ref
+
+    # 5.16e-3 is where c(t) = l_1 = 1.4292
+    @pytest.mark.parametrize("t", [1e-3, 5e-3, 5.16e-3, 0.0766, 1.0, 8.0])
+    def test_cut_free_oracle(self, t):
+        # every (class, k) pair in 40 digits, with no cut: each class is
+        # summed until its terms fall below 1e-45 of its first, and the
+        # Gaussian makes the rest smaller still.  Below t = 0.017 the bound
+        # is the rounding of the leading exponent a = l_1/2 + l_1^2/4t
+        # (a = 511 at t = 1e-3, where rounding a alone to a double can
+        # move the term by 2.8e-14 relative)
+        with mp.workdps(40):
+            ref = mp.mpf(0)
+            for e in _BATCH_SPECTRUM.entries:
+                ell = mp.mpf(e.length)
+                first = None
+                for k in itertools.count(1):
+                    x = k * ell
+                    term = ell / mp.sinh(x / 2) * mp.exp(-x * x / (4 * t))
+                    first = first or term
+                    if term < first * mp.mpf(10) ** -45:
+                        break
+                    ref += e.mult * term
+            ref *= mp.exp(-mp.mpf(t) / 4) / mp.sqrt(16 * mp.pi * t)
+        ell = _BATCH_SPECTRUM.entries[0].length
+        a = ell / 2.0 + ell * ell / (4.0 * t)
+        assert abs(hyperbolic_trace(_BATCH_SPECTRUM, t) - ref) \
+            <= max(1e-14, 3.0 * 2.0 ** -53 * a) * ref
 
     @pytest.mark.parametrize("spec, ts", [
         ("tiny", [0.5]),

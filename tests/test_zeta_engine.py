@@ -68,6 +68,9 @@ class TestZetaResult:
         assert r.determinant == math.exp(math.log(2.0))
         with pytest.raises(TypeError):
             ZetaResult(1.0, 5.0, 0.0, 0.0)
+        for errors in ((-1e-12, 0.0), (0.0, -1e-12), (math.nan, 0.0)):
+            with pytest.raises(DomainError):
+                ZetaResult(0.3, *errors)
 
     def test_overflow_refused(self):
         # exp(-zeta'(0)) underflows to 0 or overflows the doubles
@@ -105,6 +108,13 @@ class TestMellinEngine:
         res = mellin_zeta_prime0(lambda t: 1.0 + np.exp(-3.0 * t),
                                  ((0.0, 0, 2.0),), 1.0, t_max=40.0)
         assert abs(res.determinant - 3.0) < 1e-9
+
+    def test_theta_equal_to_h(self):
+        # theta - h vanishes at every t: the tail samples are below the
+        # noise floor and contribute 0, so zeta'(0) is exactly 0
+        res = mellin_zeta_prime0(lambda t: np.full_like(t, 2.0),
+                                 ((0.0, 0, 2.0),), 2.0, t_max=40.0)
+        assert (res.zeta_prime_zero, res.determinant) == (0.0, 1.0)
 
     def test_gaussian_cusp_term_value(self):
         # Mellin value of e^{-t/4}/sqrt(4 pi t) at s=0 is exactly -1/2
@@ -158,8 +168,9 @@ class TestMellinEngine:
 
     def test_t_max_validation(self):
         # at t_max = 1 every tail-fit sample sits at t = 1, and one ulp
-        # above it the fitted decay is rounding noise
-        for t_max in (0.5, 1.0, 1.0 + 2.0 ** -52):
+        # above it the fitted decay is rounding noise; past 4.7e153 the
+        # fit's sum of squared samples overflows
+        for t_max in (0.5, 1.0, 1.0 + 2.0 ** -52, 4.75e153, 1e300):
             with pytest.raises(DomainError):
                 mellin_zeta_prime0(lambda t: np.exp(-t),
                                    _finite_spectrum_terms(1), 0.0,

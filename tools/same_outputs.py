@@ -103,6 +103,16 @@ ARGVS = [
        "--t", ts] for ts in ("2", "1,2,8")),
     ["trace", "--group", "once-punctured-torus(4000)", "--max-length", "6",
      "--word-radius", "4", "--t", "3000"],
+    # the geodesic sum's cut x^2 <= l_1^2 + c(t)^2: two t with classes
+    # (lengths 5.53-5.69) between c(t) and the cut, and a short systole
+    # (length 0.100) at tiny t
+    ["trace", "--group", "once-punctured-torus(3.47)", "--max-length", "12",
+     "--t", "0.076592048706033214,0.07665837545288251"],
+    ["trace", "--group", "once-punctured-torus(40.0)", "--max-length", "8",
+     "--t", "1e-4,1e-3,5e-3,0.05,0.5"],
+    # a t-max whose tail fit would overflow, refused before the walk
+    ["det", *SPHERE, "--cutoff", "1e200", "--t-max", "1e155",
+     "--word-radius", "3"],
 ]
 
 
