@@ -289,7 +289,7 @@ def cmd_selfcheck(args):
                                               0.0, np.inf).value
                       - math.sqrt(math.pi)) < 1e-10)
     check("bessel K half-integer closed form",
-          lambda: abs(specfun.bessel_k_scaled(0.5, 3.0)
+          lambda: abs(cusp_model.bessel_k_scaled(0.5, 3.0)
                       - math.sqrt(math.pi / 6.0)) < 1e-10)
     check("cusp trace quadrature oracle", _selfcheck_cusp)
     check("dtn symbol limit at s=1", lambda: abs(

@@ -4,9 +4,10 @@ cusp_heat_kernel: the Dirichlet model operator on [a, inf) x S^1 on the
 zero Fourier mode; the trace of the difference of two, cut at a and at
 1, is trace_terms.cut_height_term.  n2_symbol: the cusp
 Dirichlet-to-Neumann multipliers on the Fourier modes of the circle at
-height beta.  ScatteringModel: a synthetic scattering determinant, whose
-scattering integral equals its closed-form resonance sum
-(scattering_integral vs scattering_erfc_sum).
+height beta, a ratio of scaled Bessel K values (bessel_k_scaled, by
+Steed's continued fraction).  ScatteringModel: a synthetic scattering
+determinant, whose scattering integral equals its closed-form resonance
+sum (scattering_integral vs scattering_erfc_sum).
 """
 
 import math
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, QuadratureError
 from .specfun import QuadratureSpec
 
 __all__ = [
-    "cusp_heat_kernel", "n2_symbol", "n2_zero_symbol",
+    "cusp_heat_kernel", "bessel_k_scaled", "n2_symbol", "n2_zero_symbol",
     "ScatteringModel", "phi_log_deriv", "scattering_integral",
     "scattering_erfc_sum", "model_from_json",
 ]
@@ -54,6 +55,64 @@ def cusp_heat_kernel(a, y, yp, t):
     return float(out) if out.ndim == 0 else out
 
 
+_BESSEL_EPS = 1e-16
+_BESSEL_MAXIT = 10000
+
+
+def _steed_pair(mu, x):
+    """e^x (K_mu, K_{mu+1}) for |mu| <= 1/2, x >= 2 (Steed CF2)."""
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, _BESSEL_MAXIT):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q += c * qnew
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels / s) < _BESSEL_EPS:
+            break
+    else:
+        raise QuadratureError("Steed continued fraction for K failed")
+    h = a1 * h
+    kmu = math.sqrt(math.pi / (2.0 * x)) / s
+    k1 = kmu * (mu + x + 0.5 - h) / x
+    return kmu, k1
+
+
+def bessel_k_scaled(nu, x):
+    """e^x K_nu(x) for real order 0 <= nu <= 50 and finite x >= 2.
+
+    Steed's continued fraction gives K_mu and K_{mu+1}, |mu| <= 1/2,
+    and the upward recurrence reaches nu.  CF2 loses digits below
+    x = 2; the only caller, the cusp DtN symbol, has x = 2 pi |n| beta^2
+    >= 2 pi.  On this domain every recurrence value, up to
+    e^2 K_51(2) ~ 1.1e65, is far inside the double range.
+    """
+    if not 2.0 <= x < math.inf:
+        raise DomainError("bessel_k_scaled requires finite x >= 2, "
+                          "got %r" % (x,))
+    if not 0.0 <= nu <= 50.0:
+        raise DomainError("bessel_k_scaled limited to 0 <= nu <= 50")
+    n = int(nu + 0.5)
+    mu = nu - n  # mu in [-1/2, 1/2]
+    kmu, kmu1 = _steed_pair(mu, x)
+    for j in range(n):
+        kmu, kmu1 = kmu1, kmu + 2.0 * (mu + j + 1.0) / x * kmu1
+    return kmu
+
+
 def n2_zero_symbol(n, beta):
     """Mode-n eigenvalue 2 pi |n| beta^2 of the model operator beta*sqrt(Laplacian)
     on the circle of circumference 1/beta; n must be an integer."""
@@ -71,7 +130,8 @@ def n2_symbol(s, n, beta):
     x = 2 pi |n| beta^2.  For n = 0 the harmonic extension is an explicit
     power of y and the multiplier is s-1 for s > 1/2, -s for s < 1/2;
     at s = 1/2 the zero mode has no decaying extension and the call is
-    refused.  A non-integer n is refused by n2_zero_symbol.
+    refused.  A non-integer n is refused by n2_zero_symbol, and for
+    n != 0 so is |s| > 49.5, whose Bessel orders |s +- 1/2| pass 50.
     """
     if not (math.isfinite(beta) and beta >= 1.0):
         raise DomainError("n2_symbol requires a finite beta >= 1")
@@ -85,10 +145,13 @@ def n2_symbol(s, n, beta):
             return -s
         raise DomainError("mode 0 has no DtN multiplier on the critical line")
     x = n2_zero_symbol(n, beta)
+    if abs(s) > 49.5:
+        raise DomainError("n2_symbol requires |s| <= 49.5 for a mode n != 0, "
+                          "got s = %r" % (s,))
     # K_{-nu} = K_nu; scaled values cancel the e^{-x} factor so large x
     # (big |n| or beta) stays representable, and e^x K_nu(x) > 0 there
-    return -s + x * (specfun.bessel_k_scaled(abs(s + 0.5), x)
-                     / specfun.bessel_k_scaled(abs(s - 0.5), x))
+    return -s + x * (bessel_k_scaled(abs(s + 0.5), x)
+                     / bessel_k_scaled(abs(s - 0.5), x))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,9 @@
 
 Everything here is self-contained on top of numpy: complex digamma
 (Stirling plus recurrence), the scaled complementary error function
-erfcx on the right half-plane (Faddeeva rational approximation), the
-scaled modified Bessel K of real order for x >= 2 (Steed's continued
-fraction), and a deterministic adaptive Gauss-Kronrod integrator from a
-finite lower limit, with a double-exponential substitution for [a, inf).
+erfcx on the right half-plane (Faddeeva rational approximation), and a
+deterministic adaptive Gauss-Kronrod integrator from a finite lower
+limit, with a double-exponential substitution for [a, inf).
 
 All routines raise typed errors from :mod:`cuspspec.errors` instead of
 returning NaN.
@@ -26,7 +25,6 @@ __all__ = [
     "kronrod_grid",
     "digamma",
     "erfcx",
-    "bessel_k_scaled",
 ]
 
 # ----------------------------------------------------------------------
@@ -314,65 +312,3 @@ def erfcx(z):
     p = _horner((ell - z) / den)
     out = 2.0 * p / den ** 2 + (1.0 / math.sqrt(math.pi)) / den
     return complex(out) if z.ndim == 0 else out
-
-
-# ----------------------------------------------------------------------
-# modified Bessel function of the second kind
-# ----------------------------------------------------------------------
-
-_BESSEL_EPS = 1e-16
-_BESSEL_MAXIT = 10000
-
-
-def _steed_pair(mu, x):
-    """e^x (K_mu, K_{mu+1}) for |mu| <= 1/2, x >= 2 (Steed CF2)."""
-    a1 = 0.25 - mu * mu
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, _BESSEL_MAXIT):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < _BESSEL_EPS:
-            break
-    else:
-        raise QuadratureError("Steed continued fraction for K failed")
-    h = a1 * h
-    kmu = math.sqrt(math.pi / (2.0 * x)) / s
-    k1 = kmu * (mu + x + 0.5 - h) / x
-    return kmu, k1
-
-
-def bessel_k_scaled(nu, x):
-    """e^x K_nu(x) for real order 0 <= nu <= 50 and finite x >= 2.
-
-    Steed's continued fraction gives K_mu and K_{mu+1}, |mu| <= 1/2,
-    and the upward recurrence reaches nu.  CF2 loses digits below
-    x = 2; the only caller, the cusp DtN symbol, has x = 2 pi |n| beta^2
-    >= 2 pi.  On this domain every recurrence value, up to
-    e^2 K_51(2) ~ 1.1e65, is far inside the double range.
-    """
-    if not 2.0 <= x < math.inf:
-        raise DomainError("bessel_k_scaled requires finite x >= 2, "
-                          "got %r" % (x,))
-    if not 0.0 <= nu <= 50.0:
-        raise DomainError("bessel_k_scaled limited to 0 <= nu <= 50")
-    n = int(nu + 0.5)
-    mu = nu - n  # mu in [-1/2, 1/2]
-    kmu, kmu1 = _steed_pair(mu, x)
-    for j in range(n):
-        kmu, kmu1 = kmu1, kmu + 2.0 * (mu + j + 1.0) / x * kmu1
-    return kmu

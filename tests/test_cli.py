@@ -1049,3 +1049,14 @@ def test_star_import_resolves(module):
     """Every name in a module's __all__ (and every name the package
     imports) must exist; a stale entry makes "import *" fail."""
     exec("from %s import *" % module, {})
+
+
+def test_each_test_file_names_a_module():
+    """tests/test_<m>.py tests module <m>, so a test file cannot outlive
+    its module; the acceptance suite spans all of them."""
+    modules = {m.name for m in pkgutil.iter_modules(cuspspec.__path__)}
+    tests = pathlib.Path(__file__).resolve().parent
+    orphans = [p.name for p in sorted(tests.glob("test_*.py"))
+               if p.name != "test_acceptance.py"
+               and p.stem[len("test_"):] not in modules]
+    assert orphans == []

@@ -8,15 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CUSP_TERM_LADDER
-from cuspspec import trace_terms
-from cuspspec.cusp_model import (
-    ScatteringModel,
-    model_from_json,
-    phi_log_deriv,
-    scattering_erfc_sum,
-    scattering_integral,
-)
-from cuspspec.errors import DomainError, PoleError
+from cuspspec.errors import DomainError
 from cuspspec.fuchsian import (
     LengthSpectrum,
     SpectrumEntry,
@@ -36,22 +28,6 @@ from cuspspec.trace_terms import (
 )
 
 
-def _random_model(rng):
-    n_pairs = int(rng.integers(1, 4))
-    res = []
-    for _ in range(n_pairs):
-        re = float(rng.uniform(-2.0, 0.4))
-        im = float(rng.uniform(0.1, 3.0))
-        order = int(rng.integers(1, 3))
-        res.append((complex(re, im), order))
-        res.append((complex(re, -im), order))
-    if rng.integers(0, 2):
-        res.append((complex(float(rng.uniform(-2.0, 0.4)), 0.0),
-                    int(rng.integers(1, 3))))
-    q = float(rng.uniform(0.5, 4.0))
-    return ScatteringModel(tuple(res), q)
-
-
 def _shortened(spec, ell):
     """spec with its shortest class replaced by a geodesic of length ell."""
     first = spec.entries[0]
@@ -65,146 +41,16 @@ def _tiny_length_spectrum():
         builtin_group("thrice-punctured-sphere"), 6.0, 6), 1e-6)
 
 
-class TestScatteringModel:
-    def test_conjugate_closure_enforced(self):
+class TestCuspFamily:
+    def test_log_sum(self):
+        fam = CuspFamily((1.0, math.e, math.e ** 2))
+        assert abs(fam.log_sum - 3.0) < 1e-14
+
+    def test_validation(self):
         with pytest.raises(DomainError):
-            ScatteringModel(((complex(-0.3, 1.0), 1),), 1.0)
-
-    def test_mismatched_orders_rejected(self):
+            CuspFamily(())
         with pytest.raises(DomainError):
-            ScatteringModel(((complex(-0.3, 1.0), 1),
-                             (complex(-0.3, -1.0), 2)), 1.0)
-
-    def test_real_resonance_needs_no_partner(self):
-        ScatteringModel(((complex(-0.3, 0.0), 2),), 1.0)
-
-    def test_half_plane_enforced(self):
-        with pytest.raises(DomainError):
-            ScatteringModel(((complex(0.6, 0.0), 1),), 1.0)
-
-    @pytest.mark.parametrize("order", [2.5, 0.5, -1.5])
-    def test_fractional_order_refused(self, order):
-        # not truncated: int() would read 2.5 as 2, and 0.5 as 0
-        with pytest.raises(DomainError, match="must be integers"):
-            ScatteringModel(((complex(-0.3, 1.0), order),
-                             (complex(-0.3, -1.0), order)), 2.0)
-
-    @pytest.mark.parametrize("order", [math.nan, math.inf])
-    def test_non_finite_order_refused(self, order):
-        # int() of these raised ValueError and OverflowError
-        with pytest.raises(DomainError, match="must be integers"):
-            ScatteringModel(((complex(-0.3, 0.0), order),), 1.0)
-
-    def test_integral_float_order_accepted(self):
-        m = ScatteringModel(((complex(-0.3, 0.0), 2.0),), 1.0)
-        assert m.resonances == ((complex(-0.3, 0.0), 2),)
-
-    def test_json_round_trip(self):
-        m = ScatteringModel(((complex(-0.3, 1.0), 1),
-                             (complex(-0.3, -1.0), 1)), 2.0)
-        obj = {"q": 2.0, "phi_half": -1.0,
-               "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
-                              {"re": -0.3, "im": -1.0, "order": 1}]}
-        assert model_from_json(obj) == m
-        # older model files carry an unread "trace_c_half"; still accepted
-        assert model_from_json(dict(obj, trace_c_half=1.0)) == m
-
-    @pytest.mark.parametrize("obj", [
-        {"q": 2.0},
-        {"q": "abc", "phi_half": 1.0, "trace_c_half": 1.0, "resonances": []},
-        {"q": math.nan, "phi_half": 1.0, "trace_c_half": 1.0,
-         "resonances": []},
-        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
-         "resonances": [{"re": math.nan, "im": 0.0, "order": 1}]},
-        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
-         "resonances": [{"re": -0.3, "im": 0.0, "order": 1.5}]},
-        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
-         "resonances": [{"re": -0.3, "im": 0.0, "order": math.inf}]},
-        [2.0],
-        {"q": 2.0, "resonances": [{"re": -0.3, "im": 0.0, "order": "x"}]},
-        # a JSON boolean is no number, though Python reads true as 1
-        {"q": True, "resonances": [{"re": -0.3, "im": 1.0, "order": True},
-                                   {"re": -0.3, "im": -1.0, "order": True}]},
-        *({"q": 2.0, "resonances": [dict({"re": -0.3, "im": 0.0,
-                                          "order": 1}, **{key: flag})]}
-          for key in ("re", "im", "order") for flag in (True, False)),
-        {"q": False, "resonances": []},
-    ])
-    def test_malformed_json_refused(self, obj):
-        with pytest.raises(DomainError):
-            model_from_json(obj)
-
-    @pytest.mark.parametrize("resonances, q", [
-        ((("x", 1),), 1.0),
-        (((None, 1),), 1.0),
-        ((("-0.3", 1),), 1.0),
-        ((), "x"),
-        ((), None),
-        ((), "2.0"),
-    ])
-    def test_malformed_model_refused(self, resonances, q):
-        # the JSON reader converts its fields before the model sees them;
-        # built directly, these raised a bare ValueError or TypeError
-        with pytest.raises(DomainError):
-            ScatteringModel(resonances, q)
-
-
-class TestPhiLogDeriv:
-    def test_real_on_real_axis(self):
-        rng = np.random.default_rng(3)
-        m = _random_model(rng)
-        v = phi_log_deriv(m, 0.75)
-        assert abs(v.imag) < 1e-12
-
-    def test_pole_raises(self):
-        m = ScatteringModel(((complex(-0.3, 0.0), 1),), 1.0)
-        with pytest.raises(PoleError):
-            phi_log_deriv(m, -0.3)
-
-
-class TestScatteringIdentity:
-    def test_random_models(self):
-        rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(4):
-            m = _random_model(rng)
-            for t in (0.3, 1.0, 5.0):
-                a = scattering_integral(m, t)
-                b = scattering_erfc_sum(m, t)
-                worst = max(worst, abs(a - b) / (1.0 + abs(b)))
-        assert worst < 1e-9
-
-    def test_pure_q_model(self):
-        # with no resonances both sides reduce to the log q Gaussian
-        m = ScatteringModel((), 3.0)
-        t = 0.7
-        ref = -math.log(3.0) * math.exp(-t / 4.0) / math.sqrt(16.0 * math.pi * t)
-        assert abs(scattering_erfc_sum(m, t) - ref) < 1e-15
-        assert abs(scattering_integral(m, t) - ref) < 1e-10
-
-    def test_critical_line_resonance_refused(self):
-        m = ScatteringModel(((complex(0.5 - 1e-12, 1.0), 1),
-                             (complex(0.5 - 1e-12, -1.0), 1)), 1.0)
-        with pytest.raises(DomainError):
-            scattering_integral(m, 1.0)
-
-    # also t outside [1e-20, 3000]: below it the integral drifts from the
-    # resonance sum, above it both sides are 0, and towards 1e300 the
-    # integrand overflows
-    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, 5e-324, 1e-60,
-                                   1e-21, 3000.5, 1e300])
-    def test_non_finite_t_refused(self, t):
-        m = ScatteringModel((), 3.0)
-        with pytest.raises(DomainError):
-            scattering_integral(m, t)
-        with pytest.raises(DomainError):
-            scattering_erfc_sum(m, t)
-
-    def test_far_left_resonance_no_overflow(self):
-        # e^{t(1/2-rho)^2} would overflow unscaled at rho.re = -60, t = 5
-        m = ScatteringModel(((complex(-60.0, 0.0), 1),), 1.0)
-        v = scattering_erfc_sum(m, 5.0)
-        assert math.isfinite(v)
+            CuspFamily((0.5,))
 
 
 class TestIdentityTerm:
