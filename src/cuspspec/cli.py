@@ -246,6 +246,8 @@ def cmd_scatter_check(args):
 
 
 def cmd_pinch_sweep(args):
+    if not args.pinch_index:
+        raise DomainError("empty list: --pinch-index")
     if not math.isfinite(args.baseline):
         raise DomainError("--baseline must be finite")
     if args.ell_grid:
@@ -261,12 +263,12 @@ def cmd_pinch_sweep(args):
                                  args.ell_num))
         grid.sort(reverse=True)
     spec, provenance = _spectrum_args(args, fuchsian.builtin_group(args.group))
-    indices = args.pinch_index if args.pinch_index else [0]
-    rows = degeneration.pinch_sweep(spec, indices, grid, args.baseline)
+    rows = degeneration.pinch_sweep(spec, args.pinch_index, grid,
+                                    args.baseline)
     columns = [f.name for f in dataclasses.fields(degeneration.PinchSweepRow)]
     _write(args.out, _csv(
         args, provenance + [
-            "pinch_indices: %s" % ",".join(str(i) for i in indices),
+            "pinch_indices: %s" % ",".join(str(i) for i in args.pinch_index),
             "baseline: %s" % _fmt(args.baseline),
             "small_eig_model: ell^2 per pinched geodesic (synthetic)"],
         columns, (tuple(getattr(row, c) for c in columns) for row in rows)))
@@ -413,7 +415,7 @@ def build_parser(config=None):
     sp.add_argument("--out", default=None)
 
     sp = add("pinch-sweep", cmd_pinch_sweep, "--cutoff")
-    sp.add_argument("--pinch-index", type=int, action=_Append)
+    sp.add_argument("--pinch-index", type=int, action=_Append, default=[0])
     sp.add_argument("--ell-grid", default=None)
     sp.add_argument("--ell-start", type=float, default=0.1)
     sp.add_argument("--ell-stop", type=float, default=0.001)

@@ -108,16 +108,15 @@ def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha):
     mc = zeta_engine.xi_prime0(base.surface.cusps)
     rows = []
     for ell in grid:
-        eigs = [ell * ell] * num_pinched
+        eig = ell * ell
         # below ell ~ 1.49e-154, ell^2 is subnormal and its log loses
         # digits; above ell ~ 1.34e154 it overflows
-        if not all(sys.float_info.min <= v <= sys.float_info.max
-                   for v in eigs):
+        if indices and not sys.float_info.min <= eig <= sys.float_info.max:
             raise DomainError("small eigenvalues must be normal doubles")
         wsum = num_pinched * wolpert_sum(ell) if indices else 0.0
         wasym = (num_pinched * wolpert_asymptotic(ell)
                  if indices and ell <= 0.5 else 0.0)
-        logsum = float(sum(math.log(v) for v in eigs))
+        logsum = float(sum([math.log(eig)] * num_pinched)) if indices else 0.0
         est = baseline_logdet_hyp_alpha - mc - wsum + logsum
         rows.append(PinchSweepRow(ell, wsum, wasym, logsum, est,
                                   baseline_logdet_hyp_alpha))

@@ -156,11 +156,13 @@ def integrate(f, a, b, spec=None):
 
     val, err = _gk15(g, lo, hi)
     heap = [(-err, lo, hi, val, err)]
-    total = val
-    total_err = err
-    for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return QuadratureResult(total, total_err)
+    total, total_err = val, err
+    # "not <=" keeps a NaN error estimate unconverged
+    while not total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+        if len(heap) > spec.max_subdivisions:  # one panel per subdivision
+            raise QuadratureError("adaptive quadrature did not converge "
+                                  "within %d subdivisions (achieved %.3e)"
+                                  % (spec.max_subdivisions, total_err))
         neg_err, ia, ib, ival, ierr = heapq.heappop(heap)
         im = 0.5 * (ia + ib)
         v1, e1 = _gk15(g, ia, im)
@@ -169,11 +171,7 @@ def integrate(f, a, b, spec=None):
         total_err += (e1 + e2) - ierr
         heapq.heappush(heap, (-e1, ia, im, v1, e1))
         heapq.heappush(heap, (-e2, im, ib, v2, e2))
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-        return QuadratureResult(total, total_err)
-    raise QuadratureError(
-        "adaptive quadrature did not converge within %d subdivisions "
-        "(achieved %.3e)" % (spec.max_subdivisions, total_err))
+    return QuadratureResult(total, total_err)
 
 
 # ----------------------------------------------------------------------

@@ -245,12 +245,8 @@ def parabolic_p(t):
     small-t ladder P_EXPANSION is summed instead.
     """
     t, shape = _t_array(t, "parabolic_p")
-    small = t < _SERIES_MIN_T
-    out = np.empty_like(t)
-    if np.any(small):
-        out[small] = expansion_value(P_EXPANSION, t[small])
-    if not np.all(small):
-        out[~small] = _parabolic_series(t[~small])
+    out = np.piecewise(t, [t < _SERIES_MIN_T], [
+        lambda s: expansion_value(P_EXPANSION, s), _parabolic_series])
     return _shaped(out, shape)
 
 

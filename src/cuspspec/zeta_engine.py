@@ -260,14 +260,10 @@ def relative_determinant(spectrum, cusp_starts, t_max, eps_trunc):
     check_t_max(spectrum.cutoff, t_max, eps_trunc)
 
     def theta(t):
-        out = np.empty_like(t)
-        early = t < 1.0
-        if early.any():
-            out[early] = trace_terms.hyperbolic_trace(spectrum, t[early])
-        if not early.all():
-            out[~early] = trace_terms.relative_heat_trace(
-                spectrum, cusp_starts, t[~early])
-        return out
+        return np.piecewise(t, [t < 1.0], [
+            lambda s: trace_terms.hyperbolic_trace(spectrum, s),
+            lambda s: trace_terms.relative_heat_trace(
+                spectrum, cusp_starts, s)])
 
     surface = spectrum.surface
     zeta = mellin_zeta_prime0(theta, (), float(surface.components), t_max)

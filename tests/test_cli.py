@@ -41,6 +41,7 @@ INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                "{config-misspelt-key}": json.dumps({"eps_trunk": 0.5}),
                "{config-repeated-pinch-index}": json.dumps(
                    {"pinch_index": [0, 0]}),
+               "{config-empty-pinch-index}": json.dumps({"pinch_index": []}),
                # lists one item past the bound, too long for one argv
                # string (128 KB)
                "{config-long-t}": json.dumps(
@@ -565,6 +566,9 @@ class TestErrorChannel:
            "--t-max", t_max] for cutoff, t_max in (
                ("12", "inf"), ("14", "nan"), ("14", "1"))),
         ["det", "--group", "nope", "--cutoff", "14", "--t-max", "nan"],
+        # an empty list of pinch indices, as an empty --t or --ell-grid
+        ["--config", "{config-empty-pinch-index}", "pinch-sweep", "--group",
+         "thrice-punctured-sphere", "--cutoff", "6"],
     ])
     def test_bad_input_refused(self, argv, tmp_path):
         # a "{...}" argument stands for a file holding INPUT_FILES[argument]

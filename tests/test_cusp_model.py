@@ -9,6 +9,7 @@ from cuspspec.cusp_model import (
     ScatteringModel,
     bessel_k_scaled,
     cusp_heat_kernel,
+    model_from_json,
     n2_symbol,
     n2_zero_symbol,
     phi_log_deriv,
@@ -270,6 +271,90 @@ def _random_model(rng):
                     int(rng.integers(1, 3))))
     q = float(rng.uniform(0.5, 4.0))
     return ScatteringModel(tuple(res), q)
+
+
+class TestScatteringModel:
+    def test_conjugate_closure_enforced(self):
+        with pytest.raises(DomainError):
+            ScatteringModel(((complex(-0.3, 1.0), 1),), 1.0)
+
+    def test_mismatched_orders_rejected(self):
+        with pytest.raises(DomainError):
+            ScatteringModel(((complex(-0.3, 1.0), 1),
+                             (complex(-0.3, -1.0), 2)), 1.0)
+
+    def test_real_resonance_needs_no_partner(self):
+        ScatteringModel(((complex(-0.3, 0.0), 2),), 1.0)
+
+    def test_half_plane_enforced(self):
+        with pytest.raises(DomainError):
+            ScatteringModel(((complex(0.6, 0.0), 1),), 1.0)
+
+    @pytest.mark.parametrize("order", [2.5, 0.5, -1.5])
+    def test_fractional_order_refused(self, order):
+        # not truncated: int() would read 2.5 as 2, and 0.5 as 0
+        with pytest.raises(DomainError, match="must be integers"):
+            ScatteringModel(((complex(-0.3, 1.0), order),
+                             (complex(-0.3, -1.0), order)), 2.0)
+
+    @pytest.mark.parametrize("order", [math.nan, math.inf])
+    def test_non_finite_order_refused(self, order):
+        # int() of these raised ValueError and OverflowError
+        with pytest.raises(DomainError, match="must be integers"):
+            ScatteringModel(((complex(-0.3, 0.0), order),), 1.0)
+
+    def test_integral_float_order_accepted(self):
+        m = ScatteringModel(((complex(-0.3, 0.0), 2.0),), 1.0)
+        assert m.resonances == ((complex(-0.3, 0.0), 2),)
+
+    def test_json_round_trip(self):
+        m = ScatteringModel(((complex(-0.3, 1.0), 1),
+                             (complex(-0.3, -1.0), 1)), 2.0)
+        obj = {"q": 2.0, "phi_half": -1.0,
+               "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
+                              {"re": -0.3, "im": -1.0, "order": 1}]}
+        assert model_from_json(obj) == m
+        # older model files carry an unread "trace_c_half"; still accepted
+        assert model_from_json(dict(obj, trace_c_half=1.0)) == m
+
+    @pytest.mark.parametrize("obj", [
+        {"q": 2.0},
+        {"q": "abc", "phi_half": 1.0, "trace_c_half": 1.0, "resonances": []},
+        {"q": math.nan, "phi_half": 1.0, "trace_c_half": 1.0,
+         "resonances": []},
+        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
+         "resonances": [{"re": math.nan, "im": 0.0, "order": 1}]},
+        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
+         "resonances": [{"re": -0.3, "im": 0.0, "order": 1.5}]},
+        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
+         "resonances": [{"re": -0.3, "im": 0.0, "order": math.inf}]},
+        [2.0],
+        {"q": 2.0, "resonances": [{"re": -0.3, "im": 0.0, "order": "x"}]},
+        # a JSON boolean is no number, though Python reads true as 1
+        {"q": True, "resonances": [{"re": -0.3, "im": 1.0, "order": True},
+                                   {"re": -0.3, "im": -1.0, "order": True}]},
+        *({"q": 2.0, "resonances": [dict({"re": -0.3, "im": 0.0,
+                                          "order": 1}, **{key: flag})]}
+          for key in ("re", "im", "order") for flag in (True, False)),
+        {"q": False, "resonances": []},
+    ])
+    def test_malformed_json_refused(self, obj):
+        with pytest.raises(DomainError):
+            model_from_json(obj)
+
+    @pytest.mark.parametrize("resonances, q", [
+        ((("x", 1),), 1.0),
+        (((None, 1),), 1.0),
+        ((("-0.3", 1),), 1.0),
+        ((), "x"),
+        ((), None),
+        ((), "2.0"),
+    ])
+    def test_malformed_model_refused(self, resonances, q):
+        # the JSON reader converts its fields before the model sees them;
+        # built directly, these raised a bare ValueError or TypeError
+        with pytest.raises(DomainError):
+            ScatteringModel(resonances, q)
 
 
 class TestPhiLogDeriv:

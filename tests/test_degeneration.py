@@ -115,6 +115,18 @@ class TestPinchSweep:
         exact = spec.entries[0].mult * 2.0 * math.log(1.34e154)
         assert abs(row.small_eig_logsum / exact - 1.0) < 1e-15
 
+    def test_nothing_pinched(self):
+        # with no pinched geodesic there is no small eigenvalue to check,
+        # even where ell^2 would underflow or overflow, and each pinching
+        # column is 0
+        spec = self._base()
+        mc = zeta_engine.xi_prime0(spec.surface.cusps)
+        for ell in (1e300, 0.1, 1e-200):
+            row = pinch_sweep(spec, [], [ell], 2.0)[0]
+            assert (row.wolpert_sum, row.wolpert_asymptotic,
+                    row.small_eig_logsum) == (0.0, 0.0, 0.0)
+            assert row.log_det_estimate == 2.0 - mc
+
     def test_repeated_index_refused(self):
         # a geodesic pinched twice would count its Wolpert term and its
         # small eigenvalues twice

@@ -60,7 +60,7 @@ class TestIntegrate:
 
     def test_converges_on_last_subdivision(self):
         # the tolerance is first met after the second and last allowed
-        # subdivision, so the result comes from the check after the loop
+        # subdivision, so the result comes from the last convergence test
         def f(x):
             return np.sqrt(x + 0.1)
 
@@ -69,6 +69,13 @@ class TestIntegrate:
         assert abs(res.value - ref) < 1e-15
         with pytest.raises(QuadratureError):
             specfun.integrate(f, 0.0, 1.0, QuadratureSpec(max_subdivisions=1))
+
+    def test_nan_integrand_never_converges(self):
+        # a NaN error estimate fails the convergence test, so the budget
+        # runs out instead of a NaN value being returned
+        with pytest.raises(QuadratureError):
+            specfun.integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0,
+                              QuadratureSpec(max_subdivisions=3))
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CUSP_TERM_LADDER
-from cuspspec.cusp_model import ScatteringModel, model_from_json
 from cuspspec.errors import DomainError
 from cuspspec.fuchsian import (
     LengthSpectrum,
@@ -19,6 +18,7 @@ from cuspspec.fuchsian import (
 from cuspspec.trace_terms import (
     P_EXPANSION,
     CuspFamily,
+    _parabolic_series,
     cusp_term,
     cut_height_term,
     expansion_value,
@@ -52,90 +52,6 @@ class TestCuspFamily:
             CuspFamily(())
         with pytest.raises(DomainError):
             CuspFamily((0.5,))
-
-
-class TestScatteringModel:
-    def test_conjugate_closure_enforced(self):
-        with pytest.raises(DomainError):
-            ScatteringModel(((complex(-0.3, 1.0), 1),), 1.0)
-
-    def test_mismatched_orders_rejected(self):
-        with pytest.raises(DomainError):
-            ScatteringModel(((complex(-0.3, 1.0), 1),
-                             (complex(-0.3, -1.0), 2)), 1.0)
-
-    def test_real_resonance_needs_no_partner(self):
-        ScatteringModel(((complex(-0.3, 0.0), 2),), 1.0)
-
-    def test_half_plane_enforced(self):
-        with pytest.raises(DomainError):
-            ScatteringModel(((complex(0.6, 0.0), 1),), 1.0)
-
-    @pytest.mark.parametrize("order", [2.5, 0.5, -1.5])
-    def test_fractional_order_refused(self, order):
-        # not truncated: int() would read 2.5 as 2, and 0.5 as 0
-        with pytest.raises(DomainError, match="must be integers"):
-            ScatteringModel(((complex(-0.3, 1.0), order),
-                             (complex(-0.3, -1.0), order)), 2.0)
-
-    @pytest.mark.parametrize("order", [math.nan, math.inf])
-    def test_non_finite_order_refused(self, order):
-        # int() of these raised ValueError and OverflowError
-        with pytest.raises(DomainError, match="must be integers"):
-            ScatteringModel(((complex(-0.3, 0.0), order),), 1.0)
-
-    def test_integral_float_order_accepted(self):
-        m = ScatteringModel(((complex(-0.3, 0.0), 2.0),), 1.0)
-        assert m.resonances == ((complex(-0.3, 0.0), 2),)
-
-    def test_json_round_trip(self):
-        m = ScatteringModel(((complex(-0.3, 1.0), 1),
-                             (complex(-0.3, -1.0), 1)), 2.0)
-        obj = {"q": 2.0, "phi_half": -1.0,
-               "resonances": [{"re": -0.3, "im": 1.0, "order": 1},
-                              {"re": -0.3, "im": -1.0, "order": 1}]}
-        assert model_from_json(obj) == m
-        # older model files carry an unread "trace_c_half"; still accepted
-        assert model_from_json(dict(obj, trace_c_half=1.0)) == m
-
-    @pytest.mark.parametrize("obj", [
-        {"q": 2.0},
-        {"q": "abc", "phi_half": 1.0, "trace_c_half": 1.0, "resonances": []},
-        {"q": math.nan, "phi_half": 1.0, "trace_c_half": 1.0,
-         "resonances": []},
-        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
-         "resonances": [{"re": math.nan, "im": 0.0, "order": 1}]},
-        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
-         "resonances": [{"re": -0.3, "im": 0.0, "order": 1.5}]},
-        {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
-         "resonances": [{"re": -0.3, "im": 0.0, "order": math.inf}]},
-        [2.0],
-        {"q": 2.0, "resonances": [{"re": -0.3, "im": 0.0, "order": "x"}]},
-        # a JSON boolean is no number, though Python reads true as 1
-        {"q": True, "resonances": [{"re": -0.3, "im": 1.0, "order": True},
-                                   {"re": -0.3, "im": -1.0, "order": True}]},
-        *({"q": 2.0, "resonances": [dict({"re": -0.3, "im": 0.0,
-                                          "order": 1}, **{key: flag})]}
-          for key in ("re", "im", "order") for flag in (True, False)),
-        {"q": False, "resonances": []},
-    ])
-    def test_malformed_json_refused(self, obj):
-        with pytest.raises(DomainError):
-            model_from_json(obj)
-
-    @pytest.mark.parametrize("resonances, q", [
-        ((("x", 1),), 1.0),
-        (((None, 1),), 1.0),
-        ((("-0.3", 1),), 1.0),
-        ((), "x"),
-        ((), None),
-        ((), "2.0"),
-    ])
-    def test_malformed_model_refused(self, resonances, q):
-        # the JSON reader converts its fields before the model sees them;
-        # built directly, these raised a bare ValueError or TypeError
-        with pytest.raises(DomainError):
-            ScatteringModel(resonances, q)
 
 
 class TestIdentityTerm:
@@ -342,6 +258,17 @@ class TestParabolicP:
         t = 3.0001e-7
         assert abs(expansion_value(P_EXPANSION, t) - parabolic_p(t)) \
             <= 1e-14 * abs(parabolic_p(t))
+
+    def test_split_side_of_each_t(self):
+        # 3e-7 itself takes the series and the double below it the
+        # ladder, bit for bit, alone or side by side in one call
+        below = float(np.nextafter(3e-7, 0.0))
+        series = _parabolic_series(np.array([3e-7]))[0]
+        ladder = expansion_value(P_EXPANSION, np.array([below]))[0]
+        assert parabolic_p(3e-7) == series
+        assert parabolic_p(below) == ladder
+        assert parabolic_p(np.array([below, 3e-7])).tolist() == [ladder,
+                                                                 series]
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import CUSP_TERM_LADDER, engine_cusp_constant
-from cuspspec import zeta_engine
+from cuspspec import trace_terms, zeta_engine
 from cuspspec.errors import (
     DomainError,
     ExpansionMismatchError,
@@ -390,6 +390,40 @@ class TestRelativeDeterminant:
         a_tilde = math.exp(-xi_prime0(g.surface.cusps))
         assert abs(res.zeta.determinant
                    - a_tilde * res.det_hyp) < 1e-12 * res.zeta.determinant
+
+    def test_theta_split_at_one(self, monkeypatch):
+        # theta is the geodesic column alone below t = 1 and the whole
+        # relative heat trace from 1 on: each gets only its side's t and
+        # never an empty array, and recording them moves no bit
+        g = builtin_group("thrice-punctured-sphere")
+        spec = enumerate_length_spectrum(g, 6.0, 6)
+        fam = CuspFamily((1.0, 1.0, 1.0))
+        ref = relative_determinant(spec, fam, 2.0, 0.02)
+        hyperbolic = trace_terms.hyperbolic_trace
+        heat = trace_terms.relative_heat_trace
+        seen = {"hyperbolic": [], "heat": []}
+        inside_heat = []
+
+        def record_hyperbolic(spectrum, t):
+            if not inside_heat:  # relative_heat_trace's own column
+                seen["hyperbolic"].append(np.array(t))
+            return hyperbolic(spectrum, t)
+
+        def record_heat(spectrum, cusp_starts, t):
+            seen["heat"].append(np.array(t))
+            inside_heat.append(True)
+            try:
+                return heat(spectrum, cusp_starts, t)
+            finally:
+                inside_heat.pop()
+
+        monkeypatch.setattr(trace_terms, "hyperbolic_trace",
+                            record_hyperbolic)
+        monkeypatch.setattr(trace_terms, "relative_heat_trace", record_heat)
+        assert relative_determinant(spec, fam, 2.0, 0.02) == ref
+        assert seen["hyperbolic"] and seen["heat"]
+        assert all(t.size and np.all(t < 1.0) for t in seen["hyperbolic"])
+        assert all(t.size and np.all(t >= 1.0) for t in seen["heat"])
 
     def test_deterministic(self):
         g = builtin_group("thrice-punctured-sphere")

@@ -113,6 +113,9 @@ ARGVS = [
     # a t-max whose tail fit would overflow, refused before the walk
     ["det", *SPHERE, "--cutoff", "1e200", "--t-max", "1e155",
      "--word-radius", "3"],
+    # P(t)'s split: the double below 3e-7 takes the ladder, 3e-7 the series
+    ["trace", *SPHERE, "--max-length", "6", "--t",
+     "2.9999999999999993e-07,3e-07"],
 ]
 
 
