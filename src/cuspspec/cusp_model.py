@@ -18,7 +18,6 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError, PoleError, QuadratureError
-from .specfun import QuadratureSpec
 
 __all__ = [
     "cusp_heat_kernel", "bessel_k_scaled", "n2_symbol", "n2_zero_symbol",
@@ -211,9 +210,8 @@ def phi_log_deriv(model, s):
     return complex(out) if s.ndim == 0 else out
 
 
-# tolerances of the scattering integral
-SCATTERING_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
-                                 max_subdivisions=4000)
+# tolerances of the scattering integral, which scatter-check prints
+SCATTERING_ABS_TOL, SCATTERING_REL_TOL = 1e-12, 1e-11
 # the scattering identity's t range: the integral drifts below, 0 = 0 above
 _SCATTER_T = (1e-20, 3000.0)
 
@@ -235,7 +233,10 @@ def scattering_integral(model, t):
         return (np.exp(-(0.25 + lam * lam) * t)
                 * np.real(phi_log_deriv(model, 0.5 + 1j * lam)))
 
-    half = specfun.integrate(f, 0.0, np.inf, spec=SCATTERING_SPEC).value
+    half, _ = specfun.integrate(f, 0.0, np.inf,
+                                abs_tol=SCATTERING_ABS_TOL,
+                                rel_tol=SCATTERING_REL_TOL,
+                                max_subdivisions=4000)
     # + 0.0: an integral that underflows to zero is +0, not -0
     return -1.0 / (4.0 * math.pi) * 2.0 * half + 0.0
 

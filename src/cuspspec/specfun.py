@@ -12,15 +12,12 @@ returning NaN.
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PoleError, QuadratureError
 
 __all__ = [
-    "QuadratureSpec",
-    "QuadratureResult",
     "integrate",
     "kronrod_grid",
     "digamma",
@@ -55,37 +52,31 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for :func:`integrate`."""
+def _gk15(f, lo, hi, origin):
+    """One Gauss-Kronrod panel on [lo, hi]; returns (integral, error).
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error: float
-
-
-def _gk15(g, a, b):
-    """One Gauss-Kronrod panel on [a, b]; returns (integral, error)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    fx = np.asarray(g(x))
+    The one place the integrand f is called: on the panel's 15 nodes,
+    or, for an origin a, on x = a + exp(2 sinh u) at the nodes u, times
+    that substitution's Jacobian.  f must return an array of the nodes'
+    shape.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = u = mid + half * _NODES
+    if origin is not None:
+        w = np.exp(2.0 * np.sinh(u))
+        x = origin + w
+    fx = np.asarray(f(x))
+    if fx.shape != x.shape:
+        raise DomainError(
+            "integrand must return an array of the node shape %s, "
+            "got shape %s" % (x.shape, fx.shape))
+    if origin is not None:
+        fx = fx * 2.0 * np.cosh(u) * w
     ik = half * np.sum(_WK_FULL * fx)
     ig = half * np.sum(_WG_FULL * fx)
     # QUADPACK-style error rescaling based on deviation from the mean
-    mean = ik / (b - a)
+    mean = ik / (hi - lo)
     resasc = abs(half) * float(np.sum(_WK_FULL * np.abs(fx - mean)))
     diff = abs(ik - ig)
     if resasc != 0.0 and diff != 0.0:
@@ -93,20 +84,6 @@ def _gk15(g, a, b):
     else:
         err = diff
     return ik, err
-
-
-def _wrap_integrand(f):
-    """Integrands are array-valued: one call per panel on all 15 nodes."""
-
-    def g(x):
-        y = np.asarray(f(x))
-        if y.shape != x.shape:
-            raise DomainError(
-                "integrand must return an array of the node shape %s, "
-                "got shape %s" % (x.shape, y.shape))
-        return y
-
-    return g
 
 
 def kronrod_grid(edges):
@@ -120,58 +97,52 @@ def kronrod_grid(edges):
             (half * _WK_FULL).ravel())
 
 
-def _transformed(f, a, b):
-    """Map f on (a, b), a finite, to an integrand on a finite interval.
-
-    A finite range is kept; [a, inf) goes through a double-exponential
-    substitution truncated at |u| = 4.
-    """
-    if not math.isinf(b):
-        return f, a, b
-
-    # x = a + exp(2 sinh u); |u|<=4 spans x-a in [2e-24, 5e23]
-    def g(u):
-        w = np.exp(2.0 * np.sinh(u))
-        return f(a + w) * 2.0 * np.cosh(u) * w
-    return g, -4.0, 4.0
-
-
-def integrate(f, a, b, spec=None):
+def integrate(f, a, b, *, abs_tol=1e-10, rel_tol=1e-10,
+              max_subdivisions=2000):
     """Adaptive Gauss-Kronrod integral of a real f over (a, b).
 
-    a must be finite and a <= b; b may be +inf, which goes through a
-    double-exponential substitution.  Returns a
-    :class:`QuadratureResult`; raises :class:`QuadratureError` (its
-    message gives the error estimate reached, no value) if the tolerance
-    cannot be met within the subdivision budget.
+    a must be finite and a <= b; b may be +inf, which goes through the
+    double-exponential substitution x = a + exp(2 sinh u), |u| <= 4
+    (x - a in [2e-24, 5e23]).  Returns (value, error estimate).  Raises
+    :class:`QuadratureError` once the running total or its error
+    estimate is not finite, or when the tolerance is not met within
+    max_subdivisions (that message gives the error estimate reached, no
+    value).
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    if abs_tol <= 0 or rel_tol <= 0:
+        raise DomainError("quadrature tolerances must be positive")
+    if max_subdivisions < 1:
+        raise DomainError("max_subdivisions must be >= 1")
     if not (math.isfinite(a) and a <= b):
         raise DomainError("integrate requires a finite a <= b, got "
                           "(%r, %r)" % (a, b))
     if a == b:
-        return QuadratureResult(0.0, 0.0)
-    g, lo, hi = _transformed(_wrap_integrand(f), a, b)
+        return 0.0, 0.0
+    lo, hi, origin = (a, b, None) if math.isfinite(b) else (-4.0, 4.0, a)
 
-    val, err = _gk15(g, lo, hi)
+    val, err = _gk15(f, lo, hi, origin)
     heap = [(-err, lo, hi, val, err)]
     total, total_err = val, err
-    # "not <=" keeps a NaN error estimate unconverged
-    while not total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if len(heap) > spec.max_subdivisions:  # one panel per subdivision
+    while True:
+        # no later panel brings back an inf or NaN total or error
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise QuadratureError(
+                "quadrature on (%s, %s) is not finite: total %.3e, "
+                "error %.3e" % (a, b, total, total_err))
+        if total_err <= max(abs_tol, rel_tol * abs(total)):
+            return total, total_err
+        if len(heap) > max_subdivisions:  # one panel per subdivision
             raise QuadratureError("adaptive quadrature did not converge "
                                   "within %d subdivisions (achieved %.3e)"
-                                  % (spec.max_subdivisions, total_err))
+                                  % (max_subdivisions, total_err))
         neg_err, ia, ib, ival, ierr = heapq.heappop(heap)
         im = 0.5 * (ia + ib)
-        v1, e1 = _gk15(g, ia, im)
-        v2, e2 = _gk15(g, im, ib)
+        v1, e1 = _gk15(f, ia, im, origin)
+        v2, e2 = _gk15(f, im, ib, origin)
         total += (v1 + v2) - ival
         total_err += (e1 + e2) - ierr
         heapq.heappush(heap, (-e1, ia, im, v1, e1))
         heapq.heappush(heap, (-e2, im, ib, v2, e2))
-    return QuadratureResult(total, total_err)
 
 
 # ----------------------------------------------------------------------

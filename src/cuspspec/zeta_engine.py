@@ -31,7 +31,6 @@ from .errors import (
     TailFitError,
     TruncationError,
 )
-from .specfun import QuadratureSpec, integrate
 
 __all__ = [
     "ZetaResult", "RelativeDeterminantResult",
@@ -69,11 +68,6 @@ class RelativeDeterminantResult:
     det_hyp: float
 
 
-# tolerances of the small-t remainder and mid-range integrals
-_MELLIN_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10,
-                              max_subdivisions=4000)
-# tolerances of the tail integral int_{t_max}^inf e^{-mu t}/t dt
-_TAIL_SPEC = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-10)
 # samples of theta on the last decade for the tail fit
 _TAIL_POINTS = 8
 # narrowest tail-fit window [1, t_max]; a decay fitted a few ulps wide is
@@ -119,8 +113,8 @@ def _tail_estimate(theta, h, t_max, min_decay):
     resid = float(np.max(np.abs(logy - (slope * ts + intercept))))
     c = math.copysign(math.exp(intercept), ys[0])
     # int_{t_max}^inf e^{-mu t}/t dt, computed by quadrature
-    e1 = integrate(lambda u: np.exp(-mu * u) / u, t_max, np.inf,
-                   spec=_TAIL_SPEC).value
+    e1, _ = specfun.integrate(lambda u: np.exp(-mu * u) / u, t_max,
+                              np.inf, abs_tol=1e-16)
     tail = c * e1
     return tail, abs(tail) * max(resid, 0.05)
 
@@ -170,17 +164,17 @@ def mellin_zeta_prime0(theta, terms, h, t_max, min_decay=0.2):
                 "(local power %.3f)" % p_hat)
 
     # small-t remainder integral int_0^1 R(t)/t dt with t = u^2
-    small = integrate(
+    small, small_err = specfun.integrate(
         lambda u: (theta(u * u) - trace_terms.expansion_value(terms, u * u))
-        * 2.0 / u, 0.0, 1.0, spec=_MELLIN_SPEC)
+        * 2.0 / u, 0.0, 1.0, max_subdivisions=4000)
 
-    mid = integrate(lambda t: (theta(t) - h) / t, 1.0, t_max,
-                    spec=_MELLIN_SPEC)
+    mid, mid_err = specfun.integrate(lambda t: (theta(t) - h) / t, 1.0,
+                                     t_max, max_subdivisions=4000)
 
     tail, tail_err = _tail_estimate(theta, h, t_max, min_decay)
 
-    zp = analytic + small.value + mid.value + tail
-    return ZetaResult(zp, small.error, mid.error + tail_err)
+    zp = analytic + small + mid + tail
+    return ZetaResult(zp, small_err, mid_err + tail_err)
 
 
 def xi_prime0(num_cusps):

@@ -40,8 +40,8 @@ def test_criterion_1_cusp_trace_closed_form():
                 return (cusp_heat_kernel(a, y, y, t)
                         - cusp_heat_kernel(1.0, y, y, t)) / (y * y)
 
-            quad = (specfun.integrate(integrand, 1.0, a).value
-                    + specfun.integrate(integrand, a, np.inf).value)
+            quad = (specfun.integrate(integrand, 1.0, a)[0]
+                    + specfun.integrate(integrand, a, np.inf)[0])
             # minus theta's cut-height column for the one height a
             ref = -trace_terms.cut_height_term(CuspFamily((a,)), t)
             worst = max(worst, abs(float(quad) - ref))

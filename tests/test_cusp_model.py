@@ -27,8 +27,8 @@ def _trace_by_quadrature(a, t):
         return (cusp_heat_kernel(a, y, y, t)
                 - cusp_heat_kernel(1.0, y, y, t)) / (y * y)
 
-    lo = specfun.integrate(integrand, 1.0, a).value
-    hi = specfun.integrate(integrand, a, np.inf).value
+    lo = specfun.integrate(integrand, 1.0, a)[0]
+    hi = specfun.integrate(integrand, a, np.inf)[0]
     return float(lo + hi)
 
 

@@ -14,6 +14,7 @@ from cuspspec.errors import (
     DomainError,
     ExpansionMismatchError,
     OverflowRangeError,
+    QuadratureError,
     TailFitError,
     TruncationError,
 )
@@ -194,6 +195,20 @@ class TestMellinEngine:
         assert abs(res.determinant - 2.0) < 1e-9
         assert sizes.count(15) >= len(sizes) - 2
         assert sum(sizes) / len(sizes) >= 10.0
+
+    def test_nan_theta_refused_at_first_panel(self):
+        # the probe call reads NaN without a verdict; the small-t
+        # integral's first panel then raises
+        calls = []
+
+        def theta(t):
+            calls.append(t)
+            return np.full_like(t, np.nan)
+
+        with pytest.raises(QuadratureError, match=r"\(0\.0, 1\.0\)"):
+            mellin_zeta_prime0(theta, _finite_spectrum_terms(1), 0.0,
+                               t_max=40.0)
+        assert len(calls) == 2
 
     def test_scalar_valued_theta_refused(self):
         with pytest.raises(DomainError):
