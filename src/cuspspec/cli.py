@@ -99,8 +99,6 @@ def _json_dump(obj, indent=0):
     """JSON writer with fixed 17-significant-digit float formatting."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [
             '%s  "%s": %s' % (pad, k, _json_dump(v, indent + 1))
             for k, v in obj.items()
@@ -192,7 +190,7 @@ def cmd_spectrum(args):
 
 
 def cmd_trace(args):
-    ts = np.array(_parse_floats(args.t))
+    ts, _ = trace_terms.t_array(_parse_floats(args.t), "--t")
     group = fuchsian.builtin_group(args.group)
     fam = _cusp_family(args, group.surface)
     spec, provenance = _spectrum_args(args, group)
@@ -225,11 +223,7 @@ def cmd_det(args):
 def cmd_scatter_check(args):
     ts = _parse_floats(args.t)
     with open(args.model) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise DomainError("--model is not JSON: %s" % exc) from None
-    model = cusp_model.model_from_json(obj)
+        model = cusp_model.model_from_json(json.load(fh))
     rows = []
     for t in ts:
         a = cusp_model.scattering_integral(model, t)
@@ -258,9 +252,9 @@ def cmd_pinch_sweep(args):
                    for x in (args.ell_start, args.ell_stop)):
             raise DomainError("--ell-start and --ell-stop must be finite "
                               "and positive")
-        grid = list(np.geomspace(args.ell_start, args.ell_stop,
-                                 args.ell_num))
-        grid.sort(reverse=True)
+        grid = sorted(np.geomspace(args.ell_start, args.ell_stop,
+                                   args.ell_num), reverse=True)
+    degeneration.check_ell_grid(grid)
     spec, provenance = _spectrum_args(args, fuchsian.builtin_group(args.group))
     rows = degeneration.pinch_sweep(spec, args.pinch_index, grid,
                                     args.baseline)

@@ -20,7 +20,7 @@ from . import zeta_engine
 from .errors import DomainError, OverflowRangeError
 
 __all__ = ["PinchSweepRow", "wolpert_sum", "wolpert_asymptotic",
-           "pinch_sweep"]
+           "check_ell_grid", "pinch_sweep"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,19 @@ def wolpert_asymptotic(ell):
     return math.pi ** 2 / (6.0 * ell) + 0.5 * math.log(-math.expm1(-ell))
 
 
+def check_ell_grid(ell_grid):
+    """ell_grid as floats, refused unless nonempty, finite, positive and
+    decreasing; it needs no spectrum, so a caller can check it first."""
+    grid = [float(x) for x in ell_grid]
+    if not grid:
+        raise DomainError("ell grid must not be empty")
+    if not all(math.isfinite(x) and x > 0 for x in grid):
+        raise DomainError("ell grid must be finite and positive")
+    if any(b - a <= 0 for a, b in zip(grid[1:], grid[:-1])):
+        raise DomainError("ell grid must be decreasing")
+    return grid
+
+
 def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha):
     """One PinchSweepRow per value of a nonempty, decreasing ell grid,
     for the surface of the base spectrum.
@@ -91,13 +104,7 @@ def pinch_sweep(base, pinch_indices, ell_grid, baseline_logdet_hyp_alpha):
     PDE solver; the quadratic rate keeps the +sum(log lambda) term
     subordinate to the Wolpert term.
     """
-    grid = [float(x) for x in ell_grid]
-    if not grid:
-        raise DomainError("ell grid must not be empty")
-    if not all(math.isfinite(x) and x > 0 for x in grid):
-        raise DomainError("ell grid must be finite and positive")
-    if any(b - a <= 0 for a, b in zip(grid[1:], grid[:-1])):
-        raise DomainError("ell grid must be decreasing")
+    grid = check_ell_grid(ell_grid)
     indices = list(pinch_indices)
     for i in indices:
         if not 0 <= i < len(base.entries):

@@ -204,9 +204,9 @@ def _letters(group):
 
 
 def _fewest_nodes(k, radius, cap):
-    """A proven lower bound on the number of constrained prenecklace tree
-    nodes of depth 1..radius over k letters (k/2 free generators); the sum
-    stops as soon as it passes cap.
+    """A proven lower bound on the constrained prenecklace tree nodes of
+    depth 1..radius over k letters (k/2 free generators), exact at depth
+    1 (the k letters); the sum stops as soon as it passes cap.
 
     A cyclically reduced word of length n is a closed walk of n steps on
     the letters, where any letter may follow any other but its inverse.
@@ -218,9 +218,9 @@ def _fewest_nodes(k, radius, cap):
     rotation of each class is a freely reduced prenecklace, hence a tree
     node of depth n, and distinct classes give distinct nodes.
     """
-    total = 0
-    power = 1
-    for n in range(1, radius + 1):
+    total = k
+    power = k - 1
+    for n in range(2, radius + 1):
         power *= k - 1
         total += -(-power // n)
         if total > cap:
@@ -267,8 +267,6 @@ def enumerate_length_spectrum(group, max_length, max_word_length=None):
 
     # the one-letter words are Lyndon, and each product is its own matrix
     nodes -= k
-    if nodes < 0:
-        raise BudgetExceededError("word enumeration budget exhausted")
     a, b, c, d = np.array(letters).T
     keep(a + d)
     # a word packs bits to a letter, its first letter highest; within the

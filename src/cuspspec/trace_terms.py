@@ -19,7 +19,7 @@ __all__ = [
     "P_EXPANSION", "expansion_value",
     "parabolic_p", "cusp_term",
     "CuspFamily", "cut_height_term", "check_cusp_count",
-    "heat_trace_columns", "relative_heat_trace",
+    "heat_trace_columns", "relative_heat_trace", "t_array",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -60,9 +60,10 @@ _BLOCK = 1 << 18
 _T_RANGE = (1e-300, 1e300)
 
 
-def _t_array(t, name):
+def t_array(t, name):
     """t as a flat float array plus its original shape; trace terms
-    require finite t > 0, within _T_RANGE."""
+    require finite t > 0, within _T_RANGE.  name, the caller or option,
+    opens the refusal, so a command can check its t before the walk."""
     arr = np.asarray(t, dtype=float)
     if arr.size == 0 or not np.all(np.isfinite(arr) & (arr > 0.0)):
         raise DomainError(
@@ -119,7 +120,7 @@ def identity_term(area, t):
     """
     if not (math.isfinite(area) and area > 0.0):
         raise DomainError("identity_term requires finite area > 0")
-    t, shape = _t_array(t, "identity_term")
+    t, shape = t_array(t, "identity_term")
     fermi = np.concatenate([
         (np.exp(-np.multiply.outer(t[i:i + _FERMI_ROWS], _FERMI_LAM2))
          * _FERMI_W).sum(axis=1) for i in range(0, t.size, _FERMI_ROWS)])
@@ -142,7 +143,7 @@ def hyperbolic_trace(spectrum, t):
     and the window totals added in order, so the value at t does not
     depend on the other t of the call.
     """
-    t, shape = _t_array(t, "hyperbolic_trace")
+    t, shape = t_array(t, "hyperbolic_trace")
     ell, mult = spectrum.length_arrays
     total = np.zeros_like(t)
     if ell.size:
@@ -244,7 +245,7 @@ def parabolic_p(t):
     sums to t^{-(2m+1)/2} zeta(2m+1, N+1).  Below t = 3e-7 the full
     small-t ladder P_EXPANSION is summed instead.
     """
-    t, shape = _t_array(t, "parabolic_p")
+    t, shape = t_array(t, "parabolic_p")
     out = np.piecewise(t, [t < _SERIES_MIN_T], [
         lambda s: expansion_value(P_EXPANSION, s), _parabolic_series])
     return _shaped(out, shape)
@@ -271,7 +272,7 @@ def _parabolic_series(t):
 def cusp_term(t):
     """Parabolic contribution of one cusp to the relative heat trace,
     -P(t)/pi - log(2) e^{-t/4}/sqrt(4 pi t) + e^{-t/4}/2."""
-    t, shape = _t_array(t, "cusp_term")
+    t, shape = t_array(t, "cusp_term")
     damp = np.exp(-t / 4.0)
     out = (-parabolic_p(t) / math.pi
            - math.log(2.0) * damp / np.sqrt(4.0 * math.pi * t) + damp / 2.0)
@@ -300,7 +301,7 @@ class CuspFamily:
 def cut_height_term(cusp_starts, t):
     """e^{-t/4}/sqrt(4 pi t) * sum_j log a_j, the trace of the model
     operators cut at 1 minus those cut at the heights a_j (criterion 1)."""
-    t, shape = _t_array(t, "cut_height_term")
+    t, shape = t_array(t, "cut_height_term")
     out = np.exp(-t / 4.0) / np.sqrt(4.0 * math.pi * t) * cusp_starts.log_sum
     return _shaped(out, shape)
 

@@ -34,7 +34,7 @@ SCATTER_MODEL = {"q": 2.0, "phi_half": 1.0, "trace_c_half": 1.0,
 # TestErrorChannel.test_bad_input_refused
 INPUT_FILES = {"{model}": json.dumps(SCATTER_MODEL),
                "{model-missing-key}": json.dumps({"q": 2.0}),
-               "{model-not-json}": "not json",
+               "{model-array}": "[1]",
                "{config-not-object}": "[1]",
                "{config-null-t-max}": json.dumps({"t_max": None}),
                "{config-list-max-length}": json.dumps({"max_length": [1, 2]}),
@@ -350,6 +350,20 @@ class TestSelfcheck:
                 "zeta engine two-eigenvalue oracle",
                 "wolpert asymptotic agreement")]
 
+    def test_failing_check_fails_the_run(self, monkeypatch, capsys):
+        # a check that raises reads FAIL on its own line, and the run
+        # exits as a numeric failure
+        def fail(ell):
+            raise ArithmeticError("made to fail")
+
+        monkeypatch.setattr(cli.degeneration, "wolpert_asymptotic", fail)
+        rc = cli.main(["selfcheck"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        assert [ln.rsplit(None, 1)[1] for ln in lines] == ["pass"] * 6 + [
+            "FAIL"]
+        assert lines[-1].startswith("wolpert asymptotic agreement ")
+
 
 class TestConfigAndEnvironment:
     def test_config_supplies_defaults(self, tmp_path):
@@ -429,6 +443,20 @@ class TestConfigAndEnvironment:
         assert json.loads(out.stderr)["error"] == "UnicodeDecodeError"
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("content, error", [
+        (None, "FileNotFoundError"), (b"not json", "JSONDecodeError"),
+        (b'\xff\xfe{"q": 2}', "UnicodeDecodeError")],
+        ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_model_is_io_error(self, content, error, tmp_path):
+        # a --model file is read as a --config file is
+        model = tmp_path / "model.json"
+        if content is not None:
+            model.write_bytes(content)
+        out = run_cli("scatter-check", "--model", str(model), "--t", "1")
+        assert out.returncode == 4
+        assert json.loads(out.stderr)["error"] == error
+        assert out.stdout == ""
+
 
 class TestErrorChannel:
     def test_unknown_group(self):
@@ -443,6 +471,29 @@ class TestErrorChannel:
                       "--max-length", "6", "--t", "0.5,nan")
         assert out.returncode == 2
         assert json.loads(out.stderr)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("argv, message", [
+        *((["trace", "--max-length", "16", "--t", ts],
+           "--t requires a nonempty t with finite values > 0")
+          for ts in ("nan", "0,1")),
+        *((["pinch-sweep", "--cutoff", "16", *flags],
+           "ell grid must be decreasing")
+          for flags in (["--ell-grid", "0.1,0.2"], ["--ell-grid", "0.1,0.1"],
+                        ["--ell-start", "0.1", "--ell-stop", "0.1",
+                         "--ell-num", "2"])),
+    ])
+    def test_refused_before_the_walk(self, argv, message, monkeypatch,
+                                     capsys):
+        # --t with the trace terms' own rule, and the ell grid with
+        # pinch_sweep's
+        def walk(*args):
+            raise AssertionError("the length spectrum was enumerated")
+
+        monkeypatch.setattr(fuchsian, "enumerate_length_spectrum", walk)
+        rc = cli.main([*argv, "--group", "thrice-punctured-sphere"])
+        err = json.loads(capsys.readouterr().err)
+        assert (rc, err["error"], err["message"]) == (2, "DomainError",
+                                                      message)
 
     def test_trace_infinite_t_refused(self):
         out = run_cli("trace", "--group", "thrice-punctured-sphere",
@@ -498,7 +549,7 @@ class TestErrorChannel:
         ["scatter-check", "--model", "{model}", "--t", ","],
         ["scatter-check", "--model", "{model}", "--t", "nan"],
         ["scatter-check", "--model", "{model-missing-key}", "--t", "1"],
-        ["scatter-check", "--model", "{model-not-json}", "--t", "1"],
+        ["scatter-check", "--model", "{model-array}", "--t", "1"],
         # values argparse itself refuses
         ["spectrum", "--group", "thrice-punctured-sphere",
          "--max-length", "6", "--word-radius", "abc"],

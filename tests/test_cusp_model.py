@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cuspspec import specfun
+from cuspspec import cusp_model, specfun
 from cuspspec.cusp_model import (
     ScatteringModel,
     bessel_k_scaled,
@@ -16,7 +16,7 @@ from cuspspec.cusp_model import (
     scattering_erfc_sum,
     scattering_integral,
 )
-from cuspspec.errors import DomainError, PoleError
+from cuspspec.errors import DomainError, PoleError, QuadratureError
 from cuspspec.trace_terms import CuspFamily, cut_height_term
 
 
@@ -173,6 +173,15 @@ class TestBesselK:
         # Steed's continued fraction loses digits below x = 2
         with pytest.raises(DomainError):
             bessel_k_scaled(0.5, x)
+
+    def test_unconverged_continued_fraction_raises(self, monkeypatch):
+        # at x = 2, the slowest end of the domain, mu = 0.3 needs more
+        # than one step of the continued fraction; at mu = 1/2 its first
+        # correction is exactly 0
+        monkeypatch.setattr(cusp_model, "_BESSEL_MAXIT", 3)
+        with pytest.raises(QuadratureError, match="Steed"):
+            bessel_k_scaled(0.3, 2.0)
+        assert bessel_k_scaled(0.5, 2.0) == math.sqrt(math.pi / 4.0)
 
 
 class TestZeroModel:

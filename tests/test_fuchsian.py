@@ -412,6 +412,17 @@ class TestEnumeration:
             bound = fuchsian._fewest_nodes(4, radius, math.inf)
             assert 3 ** radius / radius <= bound <= count
 
+    def test_one_letter_nodes_counted_exactly(self, monkeypatch):
+        # depth 1 holds all 4 letters, so the bound before the walk
+        # refuses a budget of 3 at radius 1, and a budget of 4 walks
+        g = builtin_group("thrice-punctured-sphere")
+        assert fuchsian._fewest_nodes(4, 1, math.inf) == 4
+        monkeypatch.setattr(fuchsian, "NODE_BUDGET", 4)
+        enumerate_length_spectrum(g, 6.0, 1)
+        monkeypatch.setattr(fuchsian, "NODE_BUDGET", 3)
+        with pytest.raises(BudgetExceededError):
+            enumerate_length_spectrum(g, 6.0, 1)
+
     def test_huge_radius_refused_by_the_bound(self):
         # refused before the walk, which at radius 20 would visit the
         # whole budget of nodes before it failed

@@ -5,8 +5,8 @@ Usage: python tools/same_outputs.py OLD_SRC NEW_SRC
 OLD_SRC and NEW_SRC are directories that hold a `cuspspec` package (the
 `src/` of two checkouts).  Each argv of ARGVS runs as a fresh
 `python -m cuspspec.cli` process on each tree, in one scratch directory
-that also holds the two scatter-check model files and two --config
-files.
+that also holds the three scatter-check model files (one not JSON) and
+two --config files.
 Every argv whose stdout, stderr or exit code differs is printed; the
 exit code is 1 if any does.
 """
@@ -116,6 +116,13 @@ ARGVS = [
     # P(t)'s split: the double below 3e-7 takes the ladder, 3e-7 the series
     ["trace", *SPHERE, "--max-length", "6", "--t",
      "2.9999999999999993e-07,3e-07"],
+    # a --t and an ell grid refused before the walk (the grid ahead of a
+    # word radius the walk refuses), and a model file that is not JSON,
+    # an I/O failure as a --config file is (exit 4)
+    ["trace", *SPHERE, "--max-length", "16", "--t", "nan"],
+    ["pinch-sweep", *SPHERE, "--cutoff", "16", "--word-radius", "5000",
+     "--ell-grid", "0.1,0.2"],
+    ["scatter-check", "--model", "notjson.json", "--t", "1"],
 ]
 
 
@@ -132,11 +139,13 @@ def main():
     old, new = sys.argv[1:]
     differ = 0
     with tempfile.TemporaryDirectory() as cwd:
-        for name, obj in (("model.json", MODEL), ("model2.json", MODEL2),
-                          ("config.json", CONFIG),
-                          ("unknown.json", UNKNOWN_CONFIG)):
+        for name, text in (("model.json", json.dumps(MODEL)),
+                           ("model2.json", json.dumps(MODEL2)),
+                           ("notjson.json", "not json"),
+                           ("config.json", json.dumps(CONFIG)),
+                           ("unknown.json", json.dumps(UNKNOWN_CONFIG))):
             with open(os.path.join(cwd, name), "w") as fh:
-                json.dump(obj, fh)
+                fh.write(text)
         for args in ARGVS:
             if run(old, args, cwd) != run(new, args, cwd):
                 differ += 1
